@@ -5,7 +5,8 @@
 //! Construction trials run through the `llc-fleet` executor
 //! (`--threads`/`LLC_THREADS`); `--smoke` pins slices and trial counts.
 
-use llc_bench::experiments::{measure_single_set, measure_single_set_pooled, Environment};
+use llc_bench::experiments::{measure_single_sets, single_set_cell, Environment};
+use llc_bench::sweeps::PruningSweep;
 use llc_bench::{pct, RunOpts};
 use llc_cache_model::CacheSpec;
 use llc_core::Algorithm;
@@ -26,10 +27,16 @@ fn main() {
         }),
     ];
     let algorithms = [Algorithm::Gt, Algorithm::GtOp, Algorithm::BinS];
-    let fleet = opts.fleet();
-    // Multi-threaded runs share machines across the three algorithms of
-    // each row through the pool; output stays byte-identical.
-    let pool = (opts.threads > 1).then(llc_machine::MachinePool::new);
+    // One sweep over every row: the three algorithms of a machine share its
+    // pooled machines.
+    let cells = machines
+        .iter()
+        .flat_map(|(_, spec)| {
+            algorithms.map(|algo| single_set_cell(spec, Environment::QuiescentLocal, algo, true))
+        })
+        .collect();
+    let sweep = PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), 0x1ce);
+    let stats = measure_single_sets(&sweep, trials, 0x1ce, &opts.fleet());
 
     println!("Section 5.3.2 — associativity sensitivity (quiescent local, {trials} trials)");
     println!(
@@ -38,33 +45,9 @@ fn main() {
     );
     let mut bins_time = [0.0f64; 2];
     let mut gtop_time = [0.0f64; 2];
-    for (idx, (name, spec)) in machines.iter().enumerate() {
-        for algo in algorithms {
-            let s = match &pool {
-                Some(pool) => measure_single_set_pooled(
-                    spec,
-                    Environment::QuiescentLocal,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    true,
-                    trials,
-                    0x1ce,
-                    &fleet,
-                    pool,
-                ),
-                None => measure_single_set(
-                    spec,
-                    Environment::QuiescentLocal,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    true,
-                    trials,
-                    0x1ce,
-                    &fleet,
-                ),
-            };
+    let rows = machines.iter().zip(stats.chunks(algorithms.len()));
+    for (idx, ((name, spec), row)) in rows.enumerate() {
+        for (&algo, s) in algorithms.iter().zip(row) {
             println!(
                 "{:<14} {:>8} {:>8} {:<8} {:>10} {:>12.2}",
                 name,

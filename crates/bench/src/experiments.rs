@@ -4,17 +4,16 @@
 //! returns plain data; the binaries under `src/bin/` format that data as the
 //! paper's tables, and `EXPERIMENTS.md` records paper-vs-measured values.
 
+use crate::sweeps::{PruningSweep, SweepCell};
 use crate::SampleStats;
+use llc_campaign::{TrialOutcome, TrialSource};
 use llc_core::{
     decode_bits, decode_bits_soft, score_extraction, Algorithm, AttackConfig, AttackReport,
     BoundaryClassifier, ClassifierTrainingConfig, EndToEndAttack, ExtractionConfig, FeatureConfig,
     RecoveryConfig, ScanConfig, TraceClassifier,
 };
 use llc_ecdsa_victim::{EcdsaVictim, EcdsaVictimConfig, Scalar};
-use llc_evsets::{
-    oracle, test_eviction, CandidateSet, EvictionSet, EvsetBuilder,
-    EvsetConfig, TargetCache, TraversalOrder,
-};
+use llc_evsets::{oracle, test_eviction, CandidateSet, EvictionSet, TargetCache, TraversalOrder};
 use llc_fleet::{stream_seed, Aggregate, Counts, Fleet, Samples};
 use llc_machine::{Machine, NoiseFidelity, NoiseModel, TenantPopulation};
 use llc_probe::{
@@ -86,8 +85,8 @@ impl Environment {
 pub struct PruningStats {
     /// Algorithm name (paper nomenclature).
     pub algorithm: &'static str,
-    /// Environment label.
-    pub environment: &'static str,
+    /// Environment label (the cell's noise-model label).
+    pub environment: String,
     /// Fraction of trials that produced a *correct* eviction set
     /// (oracle-validated, like the paper's instrumented checks).
     pub success_rate: f64,
@@ -100,76 +99,15 @@ pub struct PruningStats {
     pub mean_backtracks: f64,
 }
 
-/// One trial's outcome of the `SingleSet` measurement.
-#[derive(Debug, Clone, Copy)]
-struct SingleSetTrial {
-    time_ms: f64,
-    /// Oracle-validated success.
-    success: bool,
-    /// `Some` when a set was built (whether or not it validated).
-    built: Option<BuiltSetStats>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BuiltSetStats {
-    filter_share: f64,
-    backtracks: u64,
-}
-
-/// Order-independent reduction of [`SingleSetTrial`]s (tentpole aggregate:
-/// bit-identical for any thread count / sharding).
-#[derive(Debug, Clone, Default)]
-struct SingleSetAgg {
-    times: Samples,
-    successes: Counts,
-    filter_share: Samples,
-    backtracks: Samples,
-}
-
-impl Aggregate for SingleSetAgg {
-    type Item = SingleSetTrial;
-
-    fn empty() -> Self {
-        Self::default()
-    }
-
-    fn record(&mut self, trial: u64, item: SingleSetTrial) {
-        self.times.record(trial, item.time_ms);
-        self.successes.record(trial, item.success);
-        // Filter-share and backtrack statistics are defined per *successful*
-        // (oracle-validated) construction, matching the paper's accounting
-        // and the `PruningStats` field docs.
-        if let (true, Some(built)) = (item.success, item.built) {
-            self.filter_share.record(trial, built.filter_share);
-            self.backtracks.record(trial, built.backtracks as f64);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.times.merge(other.times);
-        self.successes.merge(other.successes);
-        self.filter_share.merge(other.filter_share);
-        self.backtracks.merge(other.backtracks);
-    }
-}
-
 /// Runs the Table 3 / Table 4 `SingleSet` measurement for one algorithm.
 ///
 /// `filtering` selects between Table 3 (false: raw candidate sets, 1 s
 /// budget) and Table 4 (true: L2-driven candidate filtering, 100 ms budget).
 ///
-/// Trials are sharded across `fleet`'s workers: one warmed machine is built
-/// and snapshotted up front, every worker materialises a private copy, and
-/// each trial rewinds it (`reset_to`) and reseeds the noise/jitter and
-/// candidate-allocation streams from its derived per-trial seed. The
-/// returned statistics are bit-identical for every thread count.
-///
-/// With `trials == 1` (the criterion benches' configuration) the
-/// snapshot/worker-clone detour is skipped and trial 0 runs directly on the
-/// freshly built machine: the snapshot, its materialisation and the no-op
-/// rewind tripled the measured machine-acquisition cost without changing a
-/// single simulated cycle. The output is byte-identical either way (trial 0
-/// derives the same seeds and sees the same machine state).
+/// This is a one-cell [`PruningSweep`] run through
+/// [`measure_single_sets`]; reports that print several cells build them as
+/// one sweep instead, so cells sharing a machine configuration share its
+/// pooled machines.
 ///
 /// `fidelity` selects the background-noise model fidelity
 /// ([`NoiseFidelity::Exact`] reproduces the per-event reference byte for
@@ -188,189 +126,88 @@ pub fn measure_single_set(
     seed: u64,
     fleet: &Fleet,
 ) -> PruningStats {
-    measure_single_set_impl(
-        spec,
-        environment,
-        fidelity,
-        hierarchy,
-        algorithm,
-        filtering,
-        trials,
-        seed,
-        fleet,
-        None,
-    )
+    let cell = single_set_cell(spec, environment, algorithm, filtering);
+    let sweep = PruningSweep::new(vec![cell], fidelity, hierarchy, seed);
+    measure_single_sets(&sweep, trials, seed, fleet).remove(0)
 }
 
-/// [`measure_single_set`] with machine acquisition routed through a shared
-/// [`MachinePool`](llc_machine::MachinePool): instead of building one base machine per cell and
-/// materialising one copy per worker, workers check machines out of `pool`
-/// keyed by the full machine configuration *including the build seed* — so
-/// the pooled run rewinds to the byte-identical snapshot the unpooled run
-/// would have built, and cells that share a machine configuration (every
-/// algorithm of a table row, for instance) share built machines instead of
-/// rebuilding per cell. Output is byte-identical to [`measure_single_set`]
-/// (pinned by the golden smoke tests, which run the multi-threaded reports
-/// through the pool, and by an explicit equality test).
-#[allow(clippy::too_many_arguments)] // same knobs, plus the pool
-pub fn measure_single_set_pooled(
+/// The [`SweepCell`] of one `SingleSet` measurement: `algorithm` on a
+/// `spec` host under `environment`'s background noise, with no co-resident
+/// tenants.
+pub fn single_set_cell(
     spec: &CacheSpec,
     environment: Environment,
-    fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
     algorithm: Algorithm,
     filtering: bool,
+) -> SweepCell {
+    SweepCell {
+        id: format!("{}|{}|{}", algorithm.name(), environment.label(), spec.name),
+        spec: spec.clone(),
+        noise: environment.noise(),
+        algorithm,
+        filtering,
+        tenants: TenantPopulation::empty(),
+    }
+}
+
+/// Runs `trials` `SingleSet` trials of every cell of `sweep`, cell by cell,
+/// and returns one [`PruningStats`] per cell in cell order.
+///
+/// `seed` must be the master seed `sweep` was built with. Each cell's
+/// trials are sharded across `fleet`'s workers under the contexts
+/// `TrialCtx::derive(seed, trial, trials)`; every trial rewinds a machine
+/// checked out of the sweep's pool (built from `seed`'s canonical build
+/// seed) and reseeds it from its context, so the statistics are
+/// bit-identical for every thread count and for any cell grouping.
+pub fn measure_single_sets(
+    sweep: &PruningSweep,
     trials: usize,
     seed: u64,
     fleet: &Fleet,
-    pool: &std::sync::Arc<llc_machine::MachinePool>,
-) -> PruningStats {
-    measure_single_set_impl(
-        spec,
-        environment,
-        fidelity,
-        hierarchy,
-        algorithm,
-        filtering,
-        trials,
-        seed,
-        fleet,
-        Some(pool),
-    )
-}
-
-/// Pool key of a single-set measurement's machine configuration. The build
-/// seed participates so a pooled machine's pristine snapshot is *exactly*
-/// the snapshot the unpooled path would capture — byte-identity holds even
-/// for stochastic replacement policies whose per-set RNGs are seeded at
-/// build time.
-pub fn single_set_pool_key(
-    spec: &CacheSpec,
-    environment: Environment,
-    fidelity: NoiseFidelity,
-    hierarchy: &HierarchyOptions,
-    build_seed: u64,
-) -> u64 {
-    llc_machine::config_key(
-        format!("single_set|{spec:?}|{environment:?}|{fidelity:?}|{hierarchy:?}|{build_seed:x}")
-            .as_bytes(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_single_set_impl(
-    spec: &CacheSpec,
-    environment: Environment,
-    fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
-    algorithm: Algorithm,
-    filtering: bool,
-    trials: usize,
-    seed: u64,
-    fleet: &Fleet,
-    pool: Option<&std::sync::Arc<llc_machine::MachinePool>>,
-) -> PruningStats {
-    let config = if filtering { EvsetConfig::filtered() } else { EvsetConfig::unfiltered() };
-    let build_seed = stream_seed(seed, trial_streams::MACHINE);
-    let build_base = || {
-        Machine::builder(spec.clone())
-            .noise(environment.noise())
-            .noise_fidelity(fidelity)
-            .hierarchy_options(hierarchy)
-            .seed(build_seed)
-            .build()
-    };
-
-    let run_trial = |machine: &mut Machine, ctx: &llc_fleet::TrialCtx| -> SingleSetTrial {
-        machine.reseed(ctx.stream(trial_streams::NOISE));
-        let mut rng = ctx.stream_rng(trial_streams::ALLOC);
-        let algo = algorithm.instance();
-        let builder = EvsetBuilder::new(algo.as_ref())
-            .config(config.clone())
-            .target(TargetCache::Sf)
-            .filtering(filtering);
-        let result = builder.build_random_set(machine, &mut rng);
-        let time_ms = crate::cycles_to_ms(result.total_cycles as f64, spec.freq_ghz);
-        match &result.eviction_set {
-            Some(set) => {
-                // Validate against ground truth: every member must map to
-                // the same SF set (the paper validates with its
-                // instrumented victim).
-                let ta = set.addresses()[0];
-                let success =
-                    oracle::is_true_eviction_set(machine, ta, set.addresses(), spec.sf.ways());
-                let filter_share = if result.total_cycles > 0 {
-                    result.filter_cycles as f64 / result.total_cycles as f64
-                } else {
-                    0.0
-                };
-                SingleSetTrial {
-                    time_ms,
-                    success,
-                    built: Some(BuiltSetStats { filter_share, backtracks: result.backtracks as u64 }),
-                }
-            }
-            None => SingleSetTrial { time_ms, success: false, built: None },
-        }
-    };
-
-    let agg: SingleSetAgg = match pool {
-        // Pooled: check out (possibly previously built) machines keyed by
-        // the full configuration + build seed; `reset()` rewinds to the
-        // byte-identical pristine snapshot the unpooled path snapshots.
-        Some(pool) if trials == 1 => {
-            let mut machine = pool.acquire(
-                single_set_pool_key(spec, environment, fidelity, &hierarchy, build_seed),
-                build_base,
+) -> Vec<PruningStats> {
+    sweep
+        .cells()
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| {
+            let outcomes = fleet.run_with(
+                trials,
+                seed,
+                |worker| sweep.init(worker),
+                |held, ctx| sweep.run_trial(held, index, ctx),
             );
-            machine.reset();
-            let ctx = llc_fleet::TrialCtx::derive(seed, 0, 1);
-            let mut agg = SingleSetAgg::empty();
-            agg.record(0, run_trial(&mut machine, &ctx));
-            agg
-        }
-        Some(pool) => {
-            let key = single_set_pool_key(spec, environment, fidelity, &hierarchy, build_seed);
-            fleet.run_fold_with(
-                trials,
-                seed,
-                |_worker| pool.acquire(key, build_base),
-                |machine, ctx| {
-                    machine.reset();
-                    run_trial(machine, &ctx)
-                },
-            )
-        }
-        None if trials == 1 => {
-            let mut machine = build_base();
-            let ctx = llc_fleet::TrialCtx::derive(seed, 0, 1);
-            let mut agg = SingleSetAgg::empty();
-            agg.record(0, run_trial(&mut machine, &ctx));
-            agg
-        }
-        None => {
-            let snapshot = build_base().snapshot();
-            fleet.run_fold_with(
-                trials,
-                seed,
-                |_worker| snapshot.to_machine(),
-                |machine, ctx| {
-                    machine.reset_to(&snapshot);
-                    run_trial(machine, &ctx)
-                },
-            )
-        }
-    };
+            pruning_stats(cell, &outcomes)
+        })
+        .collect()
+}
 
-    let filter = agg.filter_share.summary();
-    let backtracks = agg.backtracks.summary();
+/// Folds one cell's trial outcomes (in trial order, metrics as in
+/// [`SWEEP_METRICS`](crate::sweeps::SWEEP_METRICS)) into [`PruningStats`].
+fn pruning_stats(cell: &SweepCell, outcomes: &[TrialOutcome]) -> PruningStats {
+    let times: Vec<f64> = outcomes
+        .iter()
+        .map(|o| crate::cycles_to_ms(o.metrics[0] as f64, cell.spec.freq_ghz))
+        .collect();
+    // Filter-share and backtrack statistics are defined per *successful*
+    // (oracle-validated) construction, matching the paper's accounting and
+    // the `PruningStats` field docs.
+    let successes: Vec<&TrialOutcome> = outcomes.iter().filter(|o| o.success).collect();
+    let filter_shares: Vec<f64> = successes
+        .iter()
+        .map(|o| if o.metrics[0] > 0 { o.metrics[2] as f64 / o.metrics[0] as f64 } else { 0.0 })
+        .collect();
+    let backtracks: Vec<f64> = successes.iter().map(|o| o.metrics[1] as f64).collect();
     PruningStats {
-        algorithm: algorithm.name(),
-        environment: environment.label(),
-        success_rate: agg.successes.rate(),
-        time_ms: SampleStats::from_summary(agg.times.summary()),
-        filter_share: filter.mean,
-        mean_backtracks: backtracks.mean,
+        algorithm: cell.algorithm.name(),
+        environment: cell.noise.label.clone(),
+        success_rate: if outcomes.is_empty() {
+            0.0
+        } else {
+            successes.len() as f64 / outcomes.len() as f64
+        },
+        time_ms: SampleStats::from(&times),
+        filter_share: SampleStats::from(&filter_shares).mean,
+        mean_backtracks: SampleStats::from(&backtracks).mean,
     }
 }
 
@@ -1462,61 +1299,44 @@ mod tests {
         assert!(stats.time_ms.mean > 0.0);
     }
 
-    /// The `trials == 1` bench path skips the snapshot + worker-clone +
-    /// rewind detour; this pins that it still measures the *identical* trial
-    /// (same derived seeds, same simulated cycles) as the detour it
-    /// replaced, so criterion medians change only by the removed host-side
-    /// machine-acquisition overhead.
+    /// A table's cells run as one sweep share its pool at every thread
+    /// count: two environments are two machine configurations, whatever the
+    /// number of algorithms, and sharing machines across cells changes no
+    /// bit of any cell's statistics.
     #[test]
-    fn one_trial_bench_path_matches_snapshot_worker_detour() {
-        let spec = tiny();
-        let seed = 0xb51u64;
-        let fast = measure_single_set(
-            &spec,
+    fn table_cells_share_one_pool_at_any_thread_count() {
+        let seed = 0x7ab1e3;
+        let cells = || -> Vec<SweepCell> {
+            Environment::all()
+                .into_iter()
+                .flat_map(|env| {
+                    [Algorithm::Gt, Algorithm::BinS]
+                        .map(|algo| single_set_cell(&tiny(), env, algo, false))
+                })
+                .collect()
+        };
+        let mut runs = Vec::new();
+        for threads in [1usize, 2] {
+            let sweep =
+                PruningSweep::new(cells(), NoiseFidelity::Exact, HierarchyOptions::default(), seed);
+            runs.push(measure_single_sets(&sweep, 2, seed, &Fleet::new(threads).with_chunk(1)));
+            let pool = sweep.pool().stats();
+            assert_eq!(pool.keys, 2, "{threads} thread(s): {pool:?}");
+            assert!(pool.builds <= 2 * threads as u64, "{threads} thread(s): {pool:?}");
+        }
+        assert_eq!(runs[0], runs[1]);
+        let alone = measure_single_set(
+            &tiny(),
             Environment::CloudRun,
             NoiseFidelity::Exact,
             HierarchyOptions::default(),
             Algorithm::BinS,
             false,
-            1,
+            2,
             seed,
             &Fleet::single(),
         );
-
-        // The pre-fix path, replayed by hand: warmed base → snapshot →
-        // worker materialisation → no-op rewind → identical trial body.
-        let base = Machine::builder(spec.clone())
-            .noise(Environment::CloudRun.noise())
-            .seed(stream_seed(seed, trial_streams::MACHINE))
-            .build();
-        let snapshot = base.snapshot();
-        let mut machine = snapshot.to_machine();
-        machine.reset_to(&snapshot);
-        let ctx = llc_fleet::TrialCtx::derive(seed, 0, 1);
-        machine.reseed(ctx.stream(trial_streams::NOISE));
-        let mut rng = ctx.stream_rng(trial_streams::ALLOC);
-        let algo = Algorithm::BinS.instance();
-        let builder = EvsetBuilder::new(algo.as_ref())
-            .config(EvsetConfig::unfiltered())
-            .target(TargetCache::Sf)
-            .filtering(false);
-        let result = builder.build_random_set(&mut machine, &mut rng);
-        let time_ms = crate::cycles_to_ms(result.total_cycles as f64, spec.freq_ghz);
-
-        assert_eq!(fast.time_ms.mean, time_ms, "simulated construction time diverged");
-        let success = result
-            .eviction_set
-            .as_ref()
-            .map(|set| {
-                oracle::is_true_eviction_set(
-                    &machine,
-                    set.addresses()[0],
-                    set.addresses(),
-                    spec.sf.ways(),
-                )
-            })
-            .unwrap_or(false);
-        assert_eq!(fast.success_rate, if success { 1.0 } else { 0.0 });
+        assert_eq!(runs[0][3], alone, "a shared pool must not leak state between cells");
     }
 
     #[test]

@@ -14,10 +14,12 @@
 
 use crate::experiments::{
     measure_aes_ttable, measure_bulk, measure_identification, measure_key_recovery,
-    measure_monitoring, measure_single_set, measure_single_set_pooled, run_end_to_end_key,
-    Environment,
+    measure_monitoring, measure_single_sets, run_end_to_end_key, single_set_cell, Environment,
+    PruningStats,
 };
+use crate::sweeps::PruningSweep;
 use crate::{env_usize, pct, RunOpts};
+use llc_cache_model::CacheSpec;
 use llc_core::Algorithm;
 use llc_machine::NoiseFidelity;
 use llc_evsets::Scope;
@@ -56,18 +58,33 @@ fn tenant_suffix(opts: &RunOpts) -> String {
     format!(" | tenants: {}{churn}", opts.tenants.label())
 }
 
+/// Runs the `SingleSet` cells environment × `algorithms` on `spec` as one
+/// [`PruningSweep`], so the cells of each environment share its pooled
+/// machines at every thread count. Stats come back in table order.
+fn single_set_grid(
+    opts: &RunOpts,
+    spec: &CacheSpec,
+    algorithms: &[Algorithm],
+    filtering: bool,
+    trials: usize,
+    seed: u64,
+) -> Vec<PruningStats> {
+    let cells = Environment::all()
+        .into_iter()
+        .flat_map(|env| {
+            algorithms.iter().map(move |&algo| single_set_cell(spec, env, algo, filtering))
+        })
+        .collect();
+    let sweep = PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), seed);
+    measure_single_sets(&sweep, trials, seed, &opts.fleet())
+}
+
 /// Renders Table 3 — existing pruning algorithms without candidate
 /// filtering, quiescent local vs Cloud Run.
 pub fn table3_report(opts: &RunOpts) -> String {
     let spec = opts.spec();
     let trials = opts.trials(2, 4);
-    let fleet = opts.fleet();
-    // Multi-threaded runs route machine acquisition through a shared pool:
-    // the two environments need only two machine configurations across all
-    // eight cells, so per-cell rebuild/materialisation disappears. Output is
-    // byte-identical either way (the golden smoke tests pin 1-thread
-    // unpooled against 2-thread pooled).
-    let pool = (opts.threads > 1).then(llc_machine::MachinePool::new);
+    let algorithms = [Algorithm::Gt, Algorithm::GtOp, Algorithm::Ps, Algorithm::PsOp];
     let mut out = String::new();
 
     let w = &mut out;
@@ -80,45 +97,18 @@ pub fn table3_report(opts: &RunOpts) -> String {
         "Environment", "Algo", "Succ.", "Avg (ms)", "Std (ms)", "Med (ms)"
     )
     .unwrap();
-    for env in Environment::all() {
-        for algo in [Algorithm::Gt, Algorithm::GtOp, Algorithm::Ps, Algorithm::PsOp] {
-            let s = match &pool {
-                Some(pool) => measure_single_set_pooled(
-                    &spec,
-                    env,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    false,
-                    trials,
-                    0x7ab1e3,
-                    &fleet,
-                    pool,
-                ),
-                None => measure_single_set(
-                    &spec,
-                    env,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    false,
-                    trials,
-                    0x7ab1e3,
-                    &fleet,
-                ),
-            };
-            writeln!(
-                w,
-                "{:<18} {:<8} {:>10} {:>12.1} {:>12.1} {:>12.1}",
-                s.environment,
-                s.algorithm,
-                pct(s.success_rate),
-                s.time_ms.mean,
-                s.time_ms.std_dev,
-                s.time_ms.median
-            )
-            .unwrap();
-        }
+    for s in single_set_grid(opts, &spec, &algorithms, false, trials, 0x7ab1e3) {
+        writeln!(
+            w,
+            "{:<18} {:<8} {:>10} {:>12.1} {:>12.1} {:>12.1}",
+            s.environment,
+            s.algorithm,
+            pct(s.success_rate),
+            s.time_ms.mean,
+            s.time_ms.std_dev,
+            s.time_ms.median
+        )
+        .unwrap();
     }
     writeln!(w).unwrap();
     writeln!(w, "Paper (28-slice Xeon 8173M): local success 97-99%, 21-56 ms;").unwrap();
@@ -136,9 +126,6 @@ pub fn table4_report(opts: &RunOpts) -> String {
     let sample_sets = if opts.smoke { 4 } else { crate::env_usize("LLC_SAMPLE_SETS", 8) };
     let fleet = opts.fleet();
     let algorithms = [Algorithm::Gt, Algorithm::GtOp, Algorithm::PsOp, Algorithm::BinS];
-    // Same pooled routing as table3: two machine configurations serve all
-    // SingleSet cells on a multi-threaded run.
-    let pool = (opts.threads > 1).then(llc_machine::MachinePool::new);
     let mut out = String::new();
 
     let w = &mut out;
@@ -156,44 +143,17 @@ pub fn table4_report(opts: &RunOpts) -> String {
         "Environment", "Algo", "Succ.", "Avg (ms)", "Filter share"
     )
     .unwrap();
-    for env in Environment::all() {
-        for algo in algorithms {
-            let s = match &pool {
-                Some(pool) => measure_single_set_pooled(
-                    &spec,
-                    env,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    true,
-                    trials,
-                    0x7ab1e4,
-                    &fleet,
-                    pool,
-                ),
-                None => measure_single_set(
-                    &spec,
-                    env,
-                    opts.fidelity,
-                    opts.hierarchy_options(),
-                    algo,
-                    true,
-                    trials,
-                    0x7ab1e4,
-                    &fleet,
-                ),
-            };
-            writeln!(
-                w,
-                "{:<18} {:<8} {:>10} {:>12.1} {:>13.0}%",
-                s.environment,
-                s.algorithm,
-                pct(s.success_rate),
-                s.time_ms.mean,
-                100.0 * s.filter_share
-            )
-            .unwrap();
-        }
+    for s in single_set_grid(opts, &spec, &algorithms, true, trials, 0x7ab1e4) {
+        writeln!(
+            w,
+            "{:<18} {:<8} {:>10} {:>12.1} {:>13.0}%",
+            s.environment,
+            s.algorithm,
+            pct(s.success_rate),
+            s.time_ms.mean,
+            100.0 * s.filter_share
+        )
+        .unwrap();
     }
 
     for (scope_idx, (scope, label)) in

@@ -11,10 +11,16 @@
 //! only a snapshot rewind, never a rebuild — even across cells, because the
 //! pool key hashes the machine configuration and *not* the algorithm.
 //!
-//! Determinism matches the per-table harnesses: one canonical build seed per
-//! campaign (derived from the campaign master seed), per-trial noise and
-//! allocation streams derived from the trial's grid coordinates, and integer
-//! metrics so the campaign layer's exact aggregation applies.
+//! [`PruningSweep::run_trial`] is the one implementation of the pruning
+//! trial: the `table3`, `table4` and `icelake` reports run their cells
+//! through it too ([`measure_single_sets`](crate::experiments::measure_single_sets)),
+//! with trial seeds derived from the table's master seed rather than from
+//! campaign grid coordinates.
+//!
+//! Determinism: one canonical build seed per sweep (derived from its master
+//! seed), per-trial noise and allocation streams derived from the trial's
+//! context, and integer metrics so the campaign layer's exact aggregation
+//! applies.
 
 use crate::experiments::{trial_streams, Environment};
 use crate::RunOpts;

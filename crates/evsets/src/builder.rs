@@ -186,8 +186,15 @@ impl<'a> EvsetBuilder<'a> {
     }
 }
 
-/// Extends a minimal LLC eviction set into an SF eviction set by locating one
-/// additional congruent address among `pool` (Section 4.2).
+/// Extends a minimal LLC eviction set into an SF eviction set by locating
+/// the `sf_ways - llc_set.len()` additional congruent addresses among `pool`
+/// (Section 4.2).
+///
+/// An SF test only evicts `ta` once the traversal holds `sf_ways` lines, so
+/// it can vet the final line alone. While more than one line is missing and
+/// `llc_set` holds exactly `llc_ways` lines, a candidate is vetted in the
+/// LLC instead: swapped in for one member of `llc_set`, it keeps the set
+/// evicting `ta` only if it is congruent.
 pub fn extend_to_sf(
     machine: &mut Machine,
     ta: VirtAddr,
@@ -203,22 +210,26 @@ pub fn extend_to_sf(
         return Ok(EvictionSet::new(llc_set.addresses()[..sf_ways].to_vec(), TargetCache::Sf));
     }
     let mut trial: Vec<VirtAddr> = llc_set.addresses().to_vec();
+    let mut swapped: Vec<VirtAddr> = llc_set.addresses().to_vec();
     for &c in pool.iter().filter(|&&c| !llc_set.contains(c) && c != ta) {
         if machine.now() > deadline {
             return Err(EvsetError::Timeout { spent_cycles: machine.now() - deadline });
         }
         trial.push(c);
         *tests += 2;
-        let hit = parallel_test_eviction(machine, ta, &trial, TargetCache::Sf)
-            && parallel_test_eviction(machine, ta, &trial, TargetCache::Sf);
-        if hit && trial.len() == sf_ways {
+        let hit = if trial.len() < sf_ways && llc_set.len() == llc_ways {
+            swapped[0] = c;
+            parallel_test_eviction(machine, ta, &swapped, TargetCache::Llc)
+                && parallel_test_eviction(machine, ta, &swapped, TargetCache::Llc)
+        } else {
+            parallel_test_eviction(machine, ta, &trial, TargetCache::Sf)
+                && parallel_test_eviction(machine, ta, &trial, TargetCache::Sf)
+        };
+        if !hit {
+            trial.pop();
+        } else if trial.len() == sf_ways {
             return Ok(EvictionSet::new(trial, TargetCache::Sf));
         }
-        if hit {
-            // Keep the congruent address and continue until we reach SF ways.
-            continue;
-        }
-        trial.pop();
     }
     Err(EvsetError::InsufficientCandidates { found: trial.len(), required: sf_ways })
 }
@@ -228,7 +239,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{BinarySearch, GroupTesting};
     use crate::test_eviction::oracle;
-    use llc_cache_model::CacheSpec;
+    use llc_cache_model::{CacheGeometry, CacheSpec, SlicedGeometry};
     use llc_machine::NoiseModel;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -279,6 +290,27 @@ mod tests {
         let builder = EvsetBuilder::new(&algo);
         let result = builder.build_for_target(&mut m, ta, &cands.addresses()[1..]);
         let set = result.eviction_set.expect("construction should succeed");
+        assert!(oracle::is_true_eviction_set(&m, ta, set.addresses(), m.spec().sf.ways()));
+    }
+
+    /// With an SF two or more ways wider than the LLC (Ice Lake-SP: 16 vs
+    /// 12), no single extra line makes an SF test evict the target; the
+    /// extension must vet all but the last extra line in the LLC.
+    #[test]
+    fn extends_to_an_sf_two_ways_wider_than_the_llc() {
+        let mut spec = CacheSpec::tiny_test();
+        spec.sf = SlicedGeometry::new(CacheGeometry::new(32, 6), 2);
+        assert!(spec.sf.ways() >= spec.llc.ways() + 2);
+        let mut m = Machine::builder(spec).noise(NoiseModel::silent()).seed(65).build();
+        let mut rng = SmallRng::seed_from_u64(65);
+        let count = EvsetConfig::filtered().candidate_count(m.spec(), TargetCache::Sf);
+        let cands = CandidateSet::allocate(&mut m, 0x40, count, &mut rng);
+        let ta = cands.addresses()[0];
+        let algo = BinarySearch::new();
+        let result = EvsetBuilder::new(&algo).build_for_target(&mut m, ta, &cands.addresses()[1..]);
+        assert!(result.is_success(), "construction failed: {:?}", result.last_error);
+        let set = result.eviction_set.expect("checked");
+        assert_eq!(set.len(), m.spec().sf.ways());
         assert!(oracle::is_true_eviction_set(&m, ta, set.addresses(), m.spec().sf.ways()));
     }
 

@@ -97,8 +97,8 @@ impl TrialCtx {
     /// Derives the canonical context of trial `trial` in a `trials`-trial
     /// sweep under `master_seed` — the one definition of the per-trial seed
     /// derivation, used by the executor itself and by callers that bypass
-    /// it (e.g. single-trial bench fast paths that must still measure the
-    /// exact trial the executor would have run).
+    /// it (e.g. the campaign driver, which derives each cell's contexts
+    /// from that cell's master seed).
     pub fn derive(master_seed: u64, trial: usize, trials: usize) -> Self {
         Self { trial, trials, seed: trial_seed(master_seed, trial as u64) }
     }

@@ -152,10 +152,8 @@ impl MachineBuilder {
             victim: None,
             victim_run_starts: Vec::new(),
             stats: MachineStats::default(),
-            scratch_lines: Vec::new(),
+            scratch_plan: TraversalPlan::default(),
             scratch_levels: Vec::new(),
-            scratch_locs: Vec::new(),
-            scratch_locs_sorted: Vec::new(),
             scratch_burst: TenantBurst::default(),
             plan_epoch: 0,
             trial_deadline: None,
@@ -207,10 +205,8 @@ impl MachineSnapshot {
             victim: None,
             victim_run_starts: Vec::new(),
             stats: self.stats,
-            scratch_lines: Vec::new(),
+            scratch_plan: TraversalPlan::default(),
             scratch_levels: Vec::new(),
-            scratch_locs: Vec::new(),
-            scratch_locs_sorted: Vec::new(),
             scratch_burst: TenantBurst::default(),
             plan_epoch: 0,
             trial_deadline: None,
@@ -222,13 +218,14 @@ impl MachineSnapshot {
 /// traversal, computed once by [`Machine::compile_plan`].
 ///
 /// Every experiment in the paper bottoms out in millions of traversals of
-/// *fixed* eviction sets, yet the ad-hoc traverse path re-derives the same
+/// *fixed* eviction sets, yet a slice-based traversal re-derives the same
 /// VA→PA translations, slice-hash locations and sorted/deduped touched-set
 /// list on every call. A plan captures all three up front; the
 /// `*_traverse_plan` hot paths then go straight to noise catch-up and the
-/// cache accesses. Traversing via a plan is **bit-identical** to traversing
-/// the same addresses ad hoc: identical access order, identical noise
-/// catch-up order (canonical sorted distinct sets), identical RNG stream.
+/// cache accesses. The slice-based traversals are these same paths over a
+/// plan compiled per call, so both are **bit-identical**: identical access
+/// order, identical noise catch-up order (canonical sorted distinct sets),
+/// identical RNG stream.
 ///
 /// Lifecycle:
 ///
@@ -328,12 +325,11 @@ pub struct Machine {
     stats: MachineStats,
     /// Reusable buffers for the traverse hot paths (probe strategies call
     /// them once per monitoring interval; allocating per call dominated the
-    /// probe profile). Not part of snapshots: scratch contents are dead
-    /// outside a single call.
-    scratch_lines: Vec<LineAddr>,
+    /// probe profile): the plan that slice-based traversals compile into,
+    /// and the serving levels of the last traversal. Not part of snapshots:
+    /// scratch contents are dead outside a single call.
+    scratch_plan: TraversalPlan,
     scratch_levels: Vec<HitLevel>,
-    scratch_locs: Vec<SetLocation>,
-    scratch_locs_sorted: Vec<SetLocation>,
     /// Reusable buffer tenant bursts are drawn into (same rationale as the
     /// other scratch buffers; not part of snapshots).
     scratch_burst: TenantBurst,
@@ -490,58 +486,35 @@ impl Machine {
     /// Traverses `vas` with overlapped (parallel) accesses, untimed.
     /// Returns the total cycles consumed.
     pub fn parallel_traverse(&mut self, vas: &[VirtAddr]) -> u64 {
-        let levels = self.traverse(vas);
-        let cost = self.latency.parallel_cost(&levels);
-        self.scratch_levels = levels;
-        let cost = self.latency.jittered(cost, &mut self.rng);
-        self.tick(cost);
-        cost
+        self.traverse_scratch_plan(vas, Self::parallel_traverse_plan)
     }
 
     /// Traverses `vas` with overlapped accesses and *times the traversal*;
     /// returns the measured latency (including timer overhead).
     pub fn timed_parallel_traverse(&mut self, vas: &[VirtAddr]) -> u64 {
-        let levels = self.traverse(vas);
-        let raw = self.latency.parallel_cost(&levels) + self.latency.timer_overhead;
-        self.scratch_levels = levels;
-        let measured = self.latency.jittered(raw, &mut self.rng);
-        self.tick(measured);
-        measured
+        self.traverse_scratch_plan(vas, Self::timed_parallel_traverse_plan)
     }
 
     /// Traverses `vas` sequentially (pointer-chase style), untimed.
     /// Returns the total cycles consumed.
     pub fn sequential_traverse(&mut self, vas: &[VirtAddr]) -> u64 {
-        let levels = self.traverse(vas);
-        let cost = self.latency.sequential_cost(&levels);
-        self.scratch_levels = levels;
-        let cost = self.latency.jittered(cost, &mut self.rng);
-        self.tick(cost);
-        cost
+        self.traverse_scratch_plan(vas, Self::sequential_traverse_plan)
     }
 
-    /// Shared traverse core: translates `vas`, applies pending background
-    /// noise to the touched sets, performs the accesses and returns the
-    /// serving levels in the reusable scratch buffer (handed back by the
-    /// caller via `self.scratch_levels` so repeated probes allocate nothing).
-    /// The per-line shared locations computed for the noise catch-up are
-    /// passed through to the hierarchy, so each access evaluates the slice
-    /// hash exactly once.
-    fn traverse(&mut self, vas: &[VirtAddr]) -> Vec<HitLevel> {
-        let mut lines = std::mem::take(&mut self.scratch_lines);
-        lines.clear();
-        lines.extend(vas.iter().map(|&va| self.attacker_line(va)));
-        self.prepare_sets(&lines);
-        let locs = std::mem::take(&mut self.scratch_locs);
-        let mut levels = std::mem::take(&mut self.scratch_levels);
-        levels.clear();
-        for (&l, &loc) in lines.iter().zip(&locs) {
-            let level = self.do_attacker_access(l, loc);
-            levels.push(level);
-        }
-        self.scratch_lines = lines;
-        self.scratch_locs = locs;
-        levels
+    /// Compiles `vas` into the machine's reusable scratch plan and runs
+    /// `traverse` over it: the slice-based traversals are the plan paths
+    /// with a per-call compile, and allocate nothing once the plan's
+    /// buffers have grown.
+    fn traverse_scratch_plan(
+        &mut self,
+        vas: &[VirtAddr],
+        traverse: impl FnOnce(&mut Self, &TraversalPlan) -> u64,
+    ) -> u64 {
+        let mut plan = std::mem::take(&mut self.scratch_plan);
+        self.compile_plan_into(vas, &mut plan);
+        let cost = traverse(self, &plan);
+        self.scratch_plan = plan;
+        cost
     }
 
     // ---- compiled traversal plans -----------------------------------------
@@ -841,29 +814,6 @@ impl Machine {
 
     fn attacker_line(&self, va: VirtAddr) -> LineAddr {
         self.attacker_aspace.translate_unchecked(va).line()
-    }
-
-    /// Applies background noise to the shared sets of the given lines,
-    /// leaving the per-line locations in `scratch_locs` (1:1 with `lines`)
-    /// for the caller to thread into the accesses.
-    ///
-    /// Noise catch-up runs over the distinct locations in canonical sorted
-    /// order so the RNG stream does not depend on the traversal order (the
-    /// executor's determinism guarantee relies on this).
-    fn prepare_sets(&mut self, lines: &[LineAddr]) {
-        let mut locs = std::mem::take(&mut self.scratch_locs);
-        locs.clear();
-        locs.extend(lines.iter().map(|&l| self.host.hierarchy.shared_location(l)));
-        let mut sorted = std::mem::take(&mut self.scratch_locs_sorted);
-        sorted.clear();
-        sorted.extend_from_slice(&locs);
-        sorted.sort_unstable();
-        sorted.dedup();
-        for &loc in &sorted {
-            self.prepare_set(loc);
-        }
-        self.scratch_locs_sorted = sorted;
-        self.scratch_locs = locs;
     }
 
     /// Applies pending background noise to one shared set.

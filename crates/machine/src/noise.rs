@@ -237,8 +237,8 @@ impl NoiseAdvance {
 ///
 /// Synchronisation timestamps live in a flat vector indexed by the flattened
 /// `(slice, set)` location rather than a hash map: the map lookup ran once
-/// per simulated memory access (the noise catch-up in `Machine`'s
-/// `prepare_sets`), where a SipHash round per access is measurable. The
+/// per simulated memory access (the noise catch-up before every traversal
+/// in `Machine`), where a SipHash round per access is measurable. The
 /// vector is pre-sized to the full `(slice, set)` index space at
 /// construction, so the hot path is a plain bounds-checked index with no
 /// resize branch, and restores are a same-length `clone_from`.

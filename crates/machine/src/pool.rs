@@ -23,11 +23,11 @@
 //! only build-seed residue that survives is the per-set replacement RNG
 //! array inside the hierarchy, which is consulted exclusively by
 //! `ReplacementKind::Random` — under the deterministic policies every
-//! experiment default uses, pooled and unpooled runs are byte-identical
-//! (pinned by `llc-bench`'s golden smoke tests and an explicit equality
-//! test). Keys must therefore capture everything that distinguishes one
-//! build from another: spec, environment, noise fidelity, hierarchy
-//! options, *and* build seed if the caller runs `Random` replacement.
+//! experiment default uses, a pooled machine and a fresh build are
+//! byte-identical (pinned by this module's tests). Keys must therefore
+//! capture everything that distinguishes one build from another: spec,
+//! environment, noise fidelity, hierarchy options, *and* build seed if the
+//! caller runs `Random` replacement.
 //!
 //! Machines checked into a pool must not have a victim installed
 //! ([`Machine::snapshot`] enforces this at build time).
