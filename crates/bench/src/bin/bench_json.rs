@@ -14,6 +14,7 @@
 //! `{"benches": [...]}` document. CI uploads `BENCH.json` as an artifact so
 //! future PRs can diff machine-readable numbers instead of prose.
 
+use llc_campaign::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// One parsed JSONL record. Values are kept as the raw number strings the
@@ -27,66 +28,22 @@ struct BenchRecord {
     mean_ns: String,
 }
 
-/// Extracts the string value of `"key":"…"` from a JSONL line written by the
-/// shim (which escapes `"` and `\` and controls; nothing else).
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":123` from a JSONL line.
-fn extract_number(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String =
-        line[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-    (!digits.is_empty()).then_some(digits)
-}
-
 fn parse_line(line: &str) -> Option<(String, BenchRecord)> {
-    let id = extract_string(line, "id")?;
+    let record = Json::parse(line).ok()?;
+    let number = |key: &str| match record.get(key)? {
+        Json::Num(digits) => Some(digits.clone()),
+        _ => None,
+    };
     Some((
-        id,
+        record.get("id")?.as_str()?.to_string(),
         BenchRecord {
-            samples: extract_number(line, "samples")?,
-            median_ns: extract_number(line, "median_ns")?,
-            min_ns: extract_number(line, "min_ns")?,
-            max_ns: extract_number(line, "max_ns")?,
-            mean_ns: extract_number(line, "mean_ns")?,
+            samples: number("samples")?,
+            median_ns: number("median_ns")?,
+            min_ns: number("min_ns")?,
+            max_ns: number("max_ns")?,
+            mean_ns: number("mean_ns")?,
         },
     ))
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render(records: &BTreeMap<String, BenchRecord>) -> String {
@@ -95,7 +52,7 @@ fn render(records: &BTreeMap<String, BenchRecord>) -> String {
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"samples\": {}, \"median_ns\": {}, \"min_ns\": {}, \
              \"max_ns\": {}, \"mean_ns\": {}}}{}\n",
-            escape(id),
+            json::escape(id),
             r.samples,
             r.median_ns,
             r.min_ns,

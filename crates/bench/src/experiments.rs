@@ -559,7 +559,7 @@ pub fn measure_identification(
     });
     let scan_cfg = ScanConfig { timeout_cycles, ..ScanConfig::default() };
 
-    let agg: IdentAgg = fleet.run_fold_with(
+    let agg = IdentAgg::from_trials(fleet.run_with(
         trials,
         seed,
         |_worker| snapshot.to_machine(),
@@ -628,7 +628,7 @@ pub fn measure_identification(
                 scan_rate: Some(outcome.scan_rate_per_s),
             }
         },
-    );
+    ));
 
     IdentificationStats {
         scenario: if candidate_sets <= spec.sf.uncertainty() { "PageOffset" } else { "WholeSys" },

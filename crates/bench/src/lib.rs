@@ -67,9 +67,11 @@
 //!   before it quarantines (default 2, i.e. three attempts; 0 quarantines
 //!   on the first panic). Honoured by the `campaign` binary.
 //!
-//! A set-but-unparseable `LLC_TENANTS` or `LLC_CHURN_MS` is an error (the
-//! same vocabulary as the corresponding flag), never a silent fallback to
-//! the tenant-free legacy host.
+//! Every `LLC_*` knob from `LLC_THREADS` down goes through its flag's
+//! parser ([`RunOpts::from_env`]): set to a value that does not parse, it is
+//! an error naming the variable, never a silent fallback to the default
+//! configuration. `LLC_TRIALS` and `LLC_SLICES` still fall back to their
+//! defaults.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -163,71 +165,41 @@ impl Default for RunOpts {
     ///
     /// # Panics
     ///
-    /// Panics when `LLC_TENANTS` or `LLC_CHURN_MS` is set but unparseable —
-    /// a typo'd population spec must not silently run the legacy tenant-free
-    /// host (the binaries report the error through [`RunOpts::parse`]'s
-    /// usage path instead of panicking).
+    /// Panics when any `LLC_*` knob [`RunOpts::from_env`] reads is set but
+    /// unparseable — a typo'd value must not silently run a default
+    /// configuration (the binaries report the error through
+    /// [`RunOpts::parse`]'s usage path instead of panicking).
     fn default() -> Self {
         Self::from_env().unwrap_or_else(|msg| panic!("{msg}"))
     }
 }
 
 impl RunOpts {
-    /// Reads options from the `LLC_*` environment. Unset variables take
-    /// their defaults; a set-but-unparseable `LLC_TENANTS` or `LLC_CHURN_MS`
-    /// is an error (the same vocabulary as `--tenants`/`--churn`).
+    /// Reads options from the `LLC_*` environment: `LLC_THREADS`,
+    /// `LLC_NOISE_FIDELITY`, `LLC_INCLUSION`, `LLC_SLICE_HASH`,
+    /// `LLC_REPLACEMENT`, `LLC_REUSE_P`, `LLC_TENANTS`, `LLC_CHURN_MS` and
+    /// `LLC_RETRIES`. Unset variables take their defaults; a set but
+    /// unparseable one is an error (the same vocabulary as its flag).
     pub fn from_env() -> Result<Self, String> {
-        Self::from_env_values(
-            std::env::var("LLC_TENANTS").ok().as_deref(),
-            std::env::var("LLC_CHURN_MS").ok().as_deref(),
-        )
+        Self::from_env_values(&|name| std::env::var(name).ok())
     }
 
-    /// Value-level core of [`RunOpts::from_env`]: `tenants`/`churn` are the
-    /// `LLC_TENANTS`/`LLC_CHURN_MS` values when set.
-    fn from_env_values(tenants: Option<&str>, churn: Option<&str>) -> Result<Self, String> {
-        let fidelity = std::env::var("LLC_NOISE_FIDELITY")
-            .ok()
-            .and_then(|v| NoiseFidelity::parse(&v))
-            .unwrap_or_default();
-        let inclusion = std::env::var("LLC_INCLUSION")
-            .ok()
-            .and_then(|v| InclusionPolicy::parse(&v))
-            .unwrap_or_default();
-        let slice_hash = std::env::var("LLC_SLICE_HASH")
-            .ok()
-            .and_then(|v| SliceHashSelect::parse(&v))
-            .unwrap_or_default();
-        let replacement =
-            std::env::var("LLC_REPLACEMENT").ok().and_then(|v| ReplacementKind::parse(&v));
-        let reuse_insert_probability = std::env::var("LLC_REUSE_P")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|p| (0.0..=1.0).contains(p))
-            .unwrap_or(0.0);
-        let tenants = match tenants {
-            Some(v) => parse_tenants("LLC_TENANTS", v)?,
-            None => TenantPopulation::empty(),
-        };
-        let churn_dwell_ms = match churn {
-            Some(v) => parse_churn("LLC_CHURN_MS", v)?,
-            None => 0.0,
-        };
-        let retries = match std::env::var("LLC_RETRIES").ok() {
-            Some(v) => Some(parse_retries("LLC_RETRIES", &v)?),
-            None => None,
-        };
+    /// Value-level core of [`RunOpts::from_env`]: `lookup(name)` is the
+    /// value of the environment variable `name`, if set.
+    fn from_env_values(lookup: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
         Ok(Self {
-            threads: llc_fleet::default_threads(),
+            threads: env_knob(lookup, "LLC_THREADS", parse_threads)?
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             smoke: false,
-            fidelity,
-            inclusion,
-            slice_hash,
-            replacement,
-            reuse_insert_probability,
-            tenants,
-            churn_dwell_ms,
-            retries,
+            fidelity: env_knob(lookup, "LLC_NOISE_FIDELITY", parse_fidelity)?.unwrap_or_default(),
+            inclusion: env_knob(lookup, "LLC_INCLUSION", parse_inclusion)?.unwrap_or_default(),
+            slice_hash: env_knob(lookup, "LLC_SLICE_HASH", parse_slice_hash)?.unwrap_or_default(),
+            replacement: env_knob(lookup, "LLC_REPLACEMENT", parse_replacement)?,
+            reuse_insert_probability: env_knob(lookup, "LLC_REUSE_P", parse_reuse_p)?
+                .unwrap_or(0.0),
+            tenants: env_knob(lookup, "LLC_TENANTS", parse_tenants)?.unwrap_or_default(),
+            churn_dwell_ms: env_knob(lookup, "LLC_CHURN_MS", parse_churn)?.unwrap_or(0.0),
+            retries: env_knob(lookup, "LLC_RETRIES", parse_retries)?,
         })
     }
 
@@ -262,48 +234,30 @@ impl RunOpts {
             let arg = arg.as_ref();
             if arg == "--smoke" {
                 opts.smoke = true;
-            } else if arg == "--threads" {
-                let v = iter.next().ok_or("--threads requires a value")?;
-                opts.threads = parse_threads(v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                opts.threads = parse_threads(v)?;
-            } else if arg == "--noise-fidelity" {
-                let v = iter.next().ok_or("--noise-fidelity requires a value")?;
-                opts.fidelity = parse_fidelity(v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--noise-fidelity=") {
-                opts.fidelity = parse_fidelity(v)?;
-            } else if arg == "--inclusion" {
-                let v = iter.next().ok_or("--inclusion requires a value")?;
-                opts.inclusion = parse_inclusion(v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--inclusion=") {
-                opts.inclusion = parse_inclusion(v)?;
-            } else if arg == "--slice-hash" {
-                let v = iter.next().ok_or("--slice-hash requires a value")?;
-                opts.slice_hash = parse_slice_hash(v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--slice-hash=") {
-                opts.slice_hash = parse_slice_hash(v)?;
-            } else if arg == "--replacement" {
-                let v = iter.next().ok_or("--replacement requires a value")?;
-                opts.replacement = Some(parse_replacement(v.as_ref())?);
-            } else if let Some(v) = arg.strip_prefix("--replacement=") {
-                opts.replacement = Some(parse_replacement(v)?);
-            } else if arg == "--tenants" {
-                let v = iter.next().ok_or("--tenants requires a value")?;
-                opts.tenants = parse_tenants("--tenants", v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--tenants=") {
-                opts.tenants = parse_tenants("--tenants", v)?;
-            } else if arg == "--churn" {
-                let v = iter.next().ok_or("--churn requires a value")?;
-                opts.churn_dwell_ms = parse_churn("--churn", v.as_ref())?;
-            } else if let Some(v) = arg.strip_prefix("--churn=") {
-                opts.churn_dwell_ms = parse_churn("--churn", v)?;
-            } else if arg == "--retries" {
-                let v = iter.next().ok_or("--retries requires a value")?;
-                opts.retries = Some(parse_retries("--retries", v.as_ref())?);
-            } else if let Some(v) = arg.strip_prefix("--retries=") {
-                opts.retries = Some(parse_retries("--retries", v)?);
-            } else {
-                return Err(format!("unknown argument: {arg}"));
+                continue;
+            }
+            // Every other flag takes a value: `--flag value` or `--flag=value`.
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v)),
+                None => (arg, None),
+            };
+            let mut value = || match inline {
+                Some(v) => Ok(v.to_string()),
+                None => iter
+                    .next()
+                    .map(|v| v.as_ref().to_string())
+                    .ok_or_else(|| format!("{flag} requires a value")),
+            };
+            match flag {
+                "--threads" => opts.threads = parse_threads(flag, &value()?)?,
+                "--noise-fidelity" => opts.fidelity = parse_fidelity(flag, &value()?)?,
+                "--inclusion" => opts.inclusion = parse_inclusion(flag, &value()?)?,
+                "--slice-hash" => opts.slice_hash = parse_slice_hash(flag, &value()?)?,
+                "--replacement" => opts.replacement = Some(parse_replacement(flag, &value()?)?),
+                "--tenants" => opts.tenants = parse_tenants(flag, &value()?)?,
+                "--churn" => opts.churn_dwell_ms = parse_churn(flag, &value()?)?,
+                "--retries" => opts.retries = Some(parse_retries(flag, &value()?)?),
+                _ => return Err(format!("unknown argument: {arg}")),
             }
         }
         Ok(opts)
@@ -421,33 +375,53 @@ impl RunOpts {
     }
 }
 
-fn parse_threads(v: &str) -> Result<usize, String> {
+/// Reads environment knob `name` through `lookup` and parses it with its
+/// flag's parser, naming the variable in the error.
+fn env_knob<T>(
+    lookup: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    parse: fn(&str, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    lookup(name).map(|v| parse(name, &v)).transpose()
+}
+
+/// Parses a worker-thread count for `what` (`--threads` or `LLC_THREADS`).
+fn parse_threads(what: &str, v: &str) -> Result<usize, String> {
     v.parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-        .ok_or_else(|| format!("--threads expects a positive integer, got {v:?}"))
+        .ok_or_else(|| format!("{what} expects a positive integer, got {v:?}"))
 }
 
-fn parse_fidelity(v: &str) -> Result<NoiseFidelity, String> {
+fn parse_fidelity(what: &str, v: &str) -> Result<NoiseFidelity, String> {
     NoiseFidelity::parse(v)
-        .ok_or_else(|| format!("--noise-fidelity expects 'exact' or 'aggregate', got {v:?}"))
+        .ok_or_else(|| format!("{what} expects 'exact' or 'aggregate', got {v:?}"))
 }
 
-fn parse_inclusion(v: &str) -> Result<InclusionPolicy, String> {
+fn parse_inclusion(what: &str, v: &str) -> Result<InclusionPolicy, String> {
     InclusionPolicy::parse(v).ok_or_else(|| {
-        format!("--inclusion expects 'non-inclusive', 'inclusive' or 'exclusive', got {v:?}")
+        format!("{what} expects 'non-inclusive', 'inclusive' or 'exclusive', got {v:?}")
     })
 }
 
-fn parse_slice_hash(v: &str) -> Result<SliceHashSelect, String> {
+fn parse_slice_hash(what: &str, v: &str) -> Result<SliceHashSelect, String> {
     SliceHashSelect::parse(v)
-        .ok_or_else(|| format!("--slice-hash expects 'xor-fold' or 'modulo', got {v:?}"))
+        .ok_or_else(|| format!("{what} expects 'xor-fold' or 'modulo', got {v:?}"))
 }
 
-fn parse_replacement(v: &str) -> Result<ReplacementKind, String> {
+fn parse_replacement(what: &str, v: &str) -> Result<ReplacementKind, String> {
     ReplacementKind::parse(v).ok_or_else(|| {
-        format!("--replacement expects 'lru', 'tree-plru', 'qlru', 'srrip' or 'random', got {v:?}")
+        format!("{what} expects 'lru', 'tree-plru', 'qlru', 'srrip' or 'random', got {v:?}")
     })
+}
+
+/// Parses a reuse-predictor insertion probability for `what`
+/// (`LLC_REUSE_P`).
+fn parse_reuse_p(what: &str, v: &str) -> Result<f64, String> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| format!("{what} expects a probability in [0, 1], got {v:?}"))
 }
 
 /// Parses a tenant-population spec for `what` (`--tenants` or
@@ -622,18 +596,50 @@ mod tests {
         assert!(RunOpts::smoke_with_threads(2).tenants.is_empty());
     }
 
+    /// [`RunOpts::from_env_values`] over a fixed set of variables.
+    fn from_vars(vars: &[(&str, &str)]) -> Result<RunOpts, String> {
+        RunOpts::from_env_values(&|name| {
+            vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string())
+        })
+    }
+
     #[test]
     fn env_tenant_values_fail_loudly_when_unparseable() {
         // The value-level core of `from_env`: a typo'd spec is an error, not
         // a silent fallback to the tenant-free legacy host.
-        assert!(RunOpts::from_env_values(Some("3*webscale"), None).is_err());
-        assert!(RunOpts::from_env_values(Some("999999999999*idle"), None).is_err());
-        assert!(RunOpts::from_env_values(None, Some("fast")).is_err());
-        assert!(RunOpts::from_env_values(None, Some("-2")).is_err());
-        let o = RunOpts::from_env_values(Some("2*idle"), Some("5")).unwrap();
+        assert!(from_vars(&[("LLC_TENANTS", "3*webscale")]).is_err());
+        assert!(from_vars(&[("LLC_TENANTS", "999999999999*idle")]).is_err());
+        assert!(from_vars(&[("LLC_CHURN_MS", "fast")]).is_err());
+        assert!(from_vars(&[("LLC_CHURN_MS", "-2")]).is_err());
+        let o = from_vars(&[("LLC_TENANTS", "2*idle"), ("LLC_CHURN_MS", "5")]).unwrap();
         assert_eq!(o.tenants.label(), "2*idle");
         assert_eq!(o.churn_dwell_ms, 5.0);
-        assert!(RunOpts::from_env_values(None, None).unwrap().tenants.is_empty());
+        assert!(from_vars(&[]).unwrap().tenants.is_empty());
+        // Every other knob fails the same way, naming the variable, instead
+        // of silently running the default configuration.
+        for (name, bad) in [
+            ("LLC_THREADS", "0"),
+            ("LLC_NOISE_FIDELITY", "sloppy"),
+            ("LLC_INCLUSION", "sideways"),
+            ("LLC_SLICE_HASH", "crc"),
+            ("LLC_REPLACEMENT", "srip"),
+            ("LLC_REUSE_P", "1.5"),
+            ("LLC_RETRIES", "lots"),
+        ] {
+            let err = from_vars(&[(name, bad)]).unwrap_err();
+            assert!(err.starts_with(name), "{name}={bad}: {err}");
+        }
+        let o = from_vars(&[
+            ("LLC_THREADS", "3"),
+            ("LLC_NOISE_FIDELITY", "aggregate"),
+            ("LLC_REPLACEMENT", "srrip"),
+            ("LLC_REUSE_P", "0.25"),
+        ])
+        .unwrap();
+        assert_eq!(o.threads, 3);
+        assert_eq!(o.fidelity, NoiseFidelity::Aggregate);
+        assert_eq!(o.replacement, Some(ReplacementKind::Srrip));
+        assert_eq!(o.reuse_insert_probability, 0.25);
     }
 
     #[test]

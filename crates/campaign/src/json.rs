@@ -1,13 +1,13 @@
-//! A minimal JSON reader/writer for campaign records.
+//! The workspace's one JSON reader/writer: campaign records, and the
+//! criterion shim's JSONL that `llc-bench`'s `bench_json` folds.
 //!
-//! The build container has no serde; the workspace's existing JSON surface
-//! (`llc-bench`'s `bench_json`) hand-rolls flat extraction, but campaign
-//! merge records nest (a chunk record carries an array of per-cell
-//! segments), so this module is a small recursive-descent parser over a
-//! strict JSON subset: objects, arrays, strings (with `\"`/`\\`/`\n`
-//! escapes only — campaign writes nothing fancier), unsigned integers, and
-//! the literals `true`/`false`/`null`. Numbers are kept as decimal strings
-//! so `u128` sums round-trip exactly without a float detour.
+//! The workspace has no serde dependency, and campaign merge records nest
+//! (a chunk record carries an array of per-cell segments), so this module
+//! is a small recursive-descent parser over a strict JSON subset: objects,
+//! arrays, strings (with `\"`, `\\`, `\n`, `\t` and `\uXXXX` escapes),
+//! integers, and the literals `true`/`false`/`null`. Numbers are kept as
+//! decimal strings so `u128` sums round-trip exactly without a float
+//! detour.
 //!
 //! The writer always emits keys in a fixed order with no whitespace, so a
 //! record's serialised form is canonical — checksums over the emitted bytes
@@ -200,6 +200,17 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'\\' => out.push(b'\\'),
                     b'n' => out.push(b'\n'),
                     b't' => out.push(b'\t'),
+                    b'u' => {
+                        let hex = bytes.get(*pos..*pos + 4).unwrap_or_default();
+                        let c = std::str::from_utf8(hex)
+                            .ok()
+                            .filter(|h| h.len() == 4 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape at offset {pos}"))?;
+                        *pos += 4;
+                        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                    }
                     _ => return Err(format!("unsupported escape at offset {pos}")),
                 }
             }
@@ -232,6 +243,9 @@ pub fn escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             _ => out.push(c),
         }
     }
@@ -392,9 +406,15 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let mut w = JsonWriter::new();
-        w.obj().key("s").str("a\"b\\c\nd\te").end_obj();
+        w.obj().key("s").str("a\"b\\c\nd\te\r").end_obj();
         let text = w.finish();
+        assert!(text.ends_with(r#"e\u000d"}"#), "{text}");
         let v = Json::parse(&text).unwrap();
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\te"));
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\te\r"));
+        // `\uXXXX`, as the criterion shim writes control characters.
+        let v = Json::parse(r#"{"s":"x\u000ay\u00e9"}"#).unwrap();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\nyé"));
+        assert!(Json::parse(r#"{"s":"\u00g0"}"#).is_err());
+        assert!(Json::parse(r#"{"s":"\u+041"}"#).is_err());
     }
 }

@@ -49,7 +49,7 @@
 pub mod driver;
 pub mod faults;
 pub mod grid;
-mod json;
+pub mod json;
 pub mod records;
 pub mod stats;
 

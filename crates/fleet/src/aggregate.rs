@@ -32,6 +32,21 @@ pub trait Aggregate {
 
     /// Absorbs another partial aggregate (built from disjoint trials).
     fn merge(&mut self, other: Self);
+
+    /// Records `items` in order, item `i` as trial `i`: the reduction of a
+    /// fleet's in-order results, e.g. `Samples::from_trials(fleet.run(..))`.
+    /// By the laws above this is bit-identical to merging any sharding of
+    /// the same trials.
+    fn from_trials(items: impl IntoIterator<Item = Self::Item>) -> Self
+    where
+        Self: Sized,
+    {
+        let mut agg = Self::empty();
+        for (trial, item) in items.into_iter().enumerate() {
+            agg.record(trial as u64, item);
+        }
+        agg
+    }
 }
 
 /// Counting aggregate: how many trials succeeded out of how many ran.

@@ -8,7 +8,6 @@
 //! is a pure function of its [`TrialCtx`] (derived seed), and results are
 //! re-assembled in trial order before they are returned.
 
-use crate::aggregate::Aggregate;
 use crate::seed::{stream_seed, trial_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,10 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The fleet's workers are panic-free by contract (trial jobs are supposed
 /// to catch their own failures — see the campaign driver's retry/quarantine
 /// layer), so a worker panic reaching the join is a harness bug. The fallible
-/// entry points ([`Fleet::try_run_tasks_with`], [`Fleet::try_run_fold_with`])
-/// surface it as this error instead of re-panicking on the joining thread,
-/// which previously turned one dead worker into a context-free double-panic
-/// abort.
+/// entry point [`Fleet::try_run_tasks_with`] surfaces it as this error
+/// instead of re-panicking on the joining thread, which previously turned
+/// one dead worker into a context-free double-panic abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
     /// A worker thread panicked; every result it had buffered is gone.
@@ -65,17 +63,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Worker-thread count to use when the caller does not specify one: the
-/// `LLC_THREADS` environment variable if set, otherwise the machine's
-/// available parallelism.
-pub fn default_threads() -> usize {
-    std::env::var("LLC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v: &usize| v > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Everything a trial may depend on: its index and its derived seed.
@@ -174,11 +161,6 @@ impl Fleet {
         Self::new(1)
     }
 
-    /// An executor sized by `LLC_THREADS` / available parallelism.
-    pub fn from_env() -> Self {
-        Self::new(default_threads())
-    }
-
     /// The worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -223,39 +205,27 @@ impl Fleet {
         I: Fn(usize) -> S + Sync,
         F: Fn(&mut S, TrialCtx) -> T + Sync,
     {
-        self.run_tasks_with(trials, init, move |state, t| {
+        self.try_run_tasks_with(trials, init, move |state, t| {
             job(state, TrialCtx::derive(master_seed, t, trials))
         })
+        .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// The generalised work engine underneath [`Fleet::run_with`]: runs
-    /// `tasks` indexed units of work with per-worker state and returns the
-    /// results **in task order**. Unlike `run_with`, no seed is derived — the
-    /// task index is handed to `job` raw, so the caller decides what a task
-    /// means (a trial, a chunk of a campaign's global trial stream, a cell of
-    /// a sweep grid).
+    /// The work engine underneath [`Fleet::run_with`]: runs `tasks` indexed
+    /// units of work with per-worker state and returns the results **in task
+    /// order**. Unlike `run_with`, no seed is derived — the task index is
+    /// handed to `job` raw, so the caller decides what a task means (a trial,
+    /// a chunk of a campaign's global trial stream, a cell of a sweep grid).
     ///
     /// Determinism contract: `job(state, task)`'s result must be a pure
     /// function of `task` (worker state rewound per task), so the work
     /// schedule cannot influence results.
-    pub fn run_tasks_with<S, T, I, F>(&self, tasks: usize, init: I, job: F) -> Vec<T>
-    where
-        S: Send,
-        T: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        match self.try_run_tasks_with(tasks, init, job) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible form of [`Fleet::run_tasks_with`]: a worker-thread panic is
-    /// returned as [`FleetError::WorkerPanic`] (which worker, how many
-    /// results were lost, the payload) instead of re-panicking on the
-    /// joining thread. All workers are joined before the error is built, so
-    /// the count of lost results is exact and no worker outlives the call.
+    ///
+    /// A worker-thread panic is returned as [`FleetError::WorkerPanic`]
+    /// (which worker, how many results were lost, the payload) instead of
+    /// re-panicking on the joining thread. All workers are joined before the
+    /// error is built, so the count of lost results is exact and no worker
+    /// outlives the call.
     pub fn try_run_tasks_with<S, T, I, F>(
         &self,
         tasks: usize,
@@ -323,137 +293,12 @@ impl Fleet {
         debug_assert!(tagged.iter().enumerate().all(|(i, (t, _))| i == *t));
         Ok(tagged.into_iter().map(|(_, v)| v).collect())
     }
-
-    /// Runs `trials` trials and reduces their results through an
-    /// order-independent [`Aggregate`]: each worker folds its trials into a
-    /// thread-local partial aggregate, and the partials are merged at the
-    /// end. Because aggregates canonicalise by trial index, the reduction is
-    /// bit-identical to a serial fold for any thread count.
-    pub fn run_fold<A, F>(&self, trials: usize, master_seed: u64, job: F) -> A
-    where
-        A: Aggregate + Send,
-        A::Item: Send,
-        F: Fn(TrialCtx) -> A::Item + Sync,
-    {
-        self.run_fold_with(trials, master_seed, |_| (), move |_, ctx| job(ctx))
-    }
-
-    /// [`Fleet::run_fold`] with per-worker state (see [`Fleet::run_with`]).
-    pub fn run_fold_with<S, A, I, F>(
-        &self,
-        trials: usize,
-        master_seed: u64,
-        init: I,
-        job: F,
-    ) -> A
-    where
-        S: Send,
-        A: Aggregate + Send,
-        A::Item: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut S, TrialCtx) -> A::Item + Sync,
-    {
-        match self.try_run_fold_with(trials, master_seed, init, job) {
-            Ok(agg) => agg,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible form of [`Fleet::run_fold_with`]: a worker-thread panic is
-    /// returned as [`FleetError::WorkerPanic`] instead of re-panicking. The
-    /// lost-result count is the trial count minus the trials folded into the
-    /// surviving workers' partial aggregates.
-    pub fn try_run_fold_with<S, A, I, F>(
-        &self,
-        trials: usize,
-        master_seed: u64,
-        init: I,
-        job: F,
-    ) -> Result<A, FleetError>
-    where
-        S: Send,
-        A: Aggregate + Send,
-        A::Item: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut S, TrialCtx) -> A::Item + Sync,
-    {
-        let ctx = |trial: usize| TrialCtx::derive(master_seed, trial, trials);
-
-        if self.threads == 1 || trials <= 1 {
-            let mut state = init(0);
-            let mut agg = A::empty();
-            for t in 0..trials {
-                let item = job(&mut state, ctx(t));
-                agg.record(t as u64, item);
-            }
-            return Ok(agg);
-        }
-
-        let workers = self.threads.min(trials);
-        let chunk = self.chunk_for(trials);
-        let cursor = AtomicUsize::new(0);
-
-        // Each worker reports its partial aggregate plus how many trials it
-        // folded, so a panic elsewhere can still account for lost results.
-        let joined: Vec<Result<(A, usize), String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let cursor = &cursor;
-                    let init = &init;
-                    let job = &job;
-                    scope.spawn(move || {
-                        let mut state = init(worker);
-                        let mut partial = A::empty();
-                        let mut folded = 0usize;
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= trials {
-                                break;
-                            }
-                            for t in start..(start + chunk).min(trials) {
-                                let item = job(&mut state, ctx(t));
-                                partial.record(t as u64, item);
-                                folded += 1;
-                            }
-                        }
-                        (partial, folded)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|p| panic_message(p.as_ref())))
-                .collect()
-        });
-
-        if let Some(worker) = joined.iter().position(|r| r.is_err()) {
-            let recovered: usize = joined.iter().flatten().map(|(_, folded)| folded).sum();
-            let payload = joined.into_iter().filter_map(|r| r.err()).next().unwrap_or_default();
-            return Err(FleetError::WorkerPanic {
-                worker,
-                results_lost: trials - recovered,
-                payload,
-            });
-        }
-
-        let mut agg = A::empty();
-        for (partial, _) in joined.into_iter().flatten() {
-            agg.merge(partial);
-        }
-        Ok(agg)
-    }
-}
-
-impl Default for Fleet {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::Counts;
+    use crate::aggregate::{Aggregate, Counts};
 
     #[test]
     fn results_come_back_in_trial_order() {
@@ -491,7 +336,7 @@ mod tests {
     #[test]
     fn run_tasks_with_returns_in_task_order() {
         let fleet = Fleet::new(4).with_chunk(3);
-        let out = fleet.run_tasks_with(37, |worker| worker, |w, t| (*w, t * 2));
+        let out = fleet.try_run_tasks_with(37, |worker| worker, |w, t| (*w, t * 2)).unwrap();
         assert_eq!(out.len(), 37);
         assert!(out.iter().enumerate().all(|(i, &(_, v))| v == i * 2));
     }
@@ -513,19 +358,21 @@ mod tests {
         let src = Doubler;
         let fleet = Fleet::new(2).with_chunk(1);
         // 3 cells x 4 trials flattened into one 12-task stream.
-        let out = fleet.run_tasks_with(
-            12,
-            |w| src.init(w),
-            |state, g| src.run_trial(state, g / 4, TrialCtx::derive(7, g % 4, 4)),
-        );
+        let out = fleet
+            .try_run_tasks_with(
+                12,
+                |w| src.init(w),
+                |state, g| src.run_trial(state, g / 4, TrialCtx::derive(7, g % 4, 4)),
+            )
+            .unwrap();
         assert_eq!(out[5], 1001);
         assert_eq!(out[11], 2003);
     }
 
     #[test]
-    fn run_fold_counts_all_trials() {
+    fn from_trials_counts_all_trials() {
         let fleet = Fleet::new(4).with_chunk(2);
-        let agg: Counts = fleet.run_fold(100, 3, |ctx| ctx.trial % 2 == 0);
+        let agg = Counts::from_trials(fleet.run(100, 3, |ctx| ctx.trial % 2 == 0));
         assert_eq!(agg.total, 100);
         assert_eq!(agg.hits, 50);
     }
@@ -535,11 +382,6 @@ mod tests {
         let fleet = Fleet::new(8);
         assert!(fleet.run(0, 1, |ctx| ctx.trial).is_empty());
         assert_eq!(fleet.run(1, 1, |ctx| ctx.trial), vec![0]);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
         assert_eq!(Fleet::new(0).threads(), 1);
     }
 
@@ -567,31 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn fold_worker_panic_surfaces_as_a_typed_error() {
-        let fleet = Fleet::new(2).with_chunk(1);
-        let err = fleet
-            .try_run_fold_with(
-                16,
-                7,
-                |_| (),
-                |_, ctx| {
-                    if ctx.trial == 3 {
-                        panic!("fold boom");
-                    }
-                    true
-                },
-            )
-            .map(|_: Counts| ())
-            .unwrap_err();
-        let FleetError::WorkerPanic { results_lost, payload, .. } = err;
-        assert!(results_lost >= 1);
-        assert!(payload.contains("fold boom"));
-    }
-
-    #[test]
     fn try_run_tasks_with_matches_infallible_path() {
         let fleet = Fleet::new(3).with_chunk(2);
         let ok = fleet.try_run_tasks_with(21, |_| (), |_, t| t * 3).unwrap();
         assert_eq!(ok, (0..21).map(|t| t * 3).collect::<Vec<_>>());
+        assert_eq!(ok, fleet.run(21, 0, |ctx| ctx.trial * 3));
     }
 }

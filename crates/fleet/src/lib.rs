@@ -17,30 +17,28 @@
 //!   plus a chunked atomic work queue; the build container has no crates.io
 //!   access, so no rayon). Workers steal chunks of trial indices; results are
 //!   returned *in trial order* regardless of completion order.
-//! * **[`aggregate`]** — an order-independent [`Aggregate`] reducer. Workers
-//!   fold their trials into thread-local partial aggregates which are merged
-//!   at the end; aggregates canonicalise by trial index, so the merged result
-//!   is bit-identical to a serial fold.
+//! * **[`aggregate`]** — an order-independent [`Aggregate`] reducer.
+//!   Aggregates canonicalise by trial index, so folding a fleet's in-order
+//!   results ([`Aggregate::from_trials`]) is bit-identical to merging any
+//!   sharding of the same trials.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use llc_fleet::{Fleet, Samples};
+//! use llc_fleet::{Aggregate, Fleet, Samples};
+//! use rand::Rng;
 //!
 //! let fleet = Fleet::new(4);
 //! // 100 independent trials; each gets its own derived seed.
-//! let agg: Samples = fleet.run_fold(100, 0xfee1, |ctx| {
-//!     use rand::Rng;
-//!     let mut rng = ctx.rng();
-//!     rng.gen_range(0.0..1.0f64)
-//! });
+//! let agg = Samples::from_trials(fleet.run(100, 0xfee1, |ctx| {
+//!     ctx.rng().gen_range(0.0..1.0f64)
+//! }));
 //! let summary = agg.summary();
 //! assert_eq!(summary.count, 100);
 //! // The same call on 1 thread produces the bit-identical summary.
-//! let serial: Samples = Fleet::single().run_fold(100, 0xfee1, |ctx| {
-//!     use rand::Rng;
+//! let serial = Samples::from_trials(Fleet::single().run(100, 0xfee1, |ctx| {
 //!     ctx.rng().gen_range(0.0..1.0f64)
-//! });
+//! }));
 //! assert_eq!(summary, serial.summary());
 //! ```
 
@@ -53,7 +51,7 @@ pub mod seed;
 pub mod stats;
 
 pub use aggregate::{Aggregate, Counts, Samples, Summary};
-pub use executor::{default_threads, panic_message, Fleet, FleetError, TrialCtx, TrialSource};
+pub use executor::{panic_message, Fleet, FleetError, TrialCtx, TrialSource};
 pub use seed::{mix64, stream_seed, trial_seed};
 pub use stats::{
     compare_means, compare_rates, ecdf_distance, ks_threshold, MeanComparison, RateComparison,

@@ -7,7 +7,7 @@
 //! trial-local RNG draws (where seed reuse would show up as duplicated
 //! samples).
 
-use llc_fleet::{trial_seed, Counts, Fleet, Samples, Summary};
+use llc_fleet::{trial_seed, Aggregate, Counts, Fleet, Samples, Summary};
 use rand::Rng;
 use std::collections::HashSet;
 
@@ -23,8 +23,8 @@ fn noisy_trial(ctx: llc_fleet::TrialCtx) -> f64 {
 }
 
 fn summary_at(threads: usize, trials: usize, master: u64) -> Summary {
-    let agg: Samples = Fleet::new(threads).with_chunk(3).run_fold(trials, master, noisy_trial);
-    agg.summary()
+    Samples::from_trials(Fleet::new(threads).with_chunk(3).run(trials, master, noisy_trial))
+        .summary()
 }
 
 #[test]
@@ -53,7 +53,9 @@ fn ordered_results_bit_identical_at_1_2_and_8_threads() {
 #[test]
 fn counts_bit_identical_across_thread_counts() {
     let count_at = |threads: usize| -> Counts {
-        Fleet::new(threads).run_fold(1000, 7, |ctx| ctx.rng().gen_range(0..100u32) < 37)
+        Counts::from_trials(
+            Fleet::new(threads).run(1000, 7, |ctx| ctx.rng().gen_range(0..100u32) < 37),
+        )
     };
     let c1 = count_at(1);
     assert_eq!(c1.total, 1000);

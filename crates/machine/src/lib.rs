@@ -11,11 +11,11 @@
 //!   quiescent lab machine (0.29 accesses/ms/set);
 //! * a co-located victim service, described by a [`VictimProgram`] that emits
 //!   one [`VictimSchedule`] per request;
-//! * an event-scheduled tenant actor layer ([`HostSim`], [`Tenant`]): the
-//!   noise process is the lazy [`StatisticalTenant`], and optional background
-//!   workload tenants (idle sidecars, bursty web serving, batch scans) post
-//!   timed bursts from per-tenant seeded streams, with placement/churn
-//!   modelling co-residency ([`TenantPopulation`], [`ChurnConfig`]);
+//! * optional background tenants ([`TenantPopulation`], [`WorkloadKind`]):
+//!   idle sidecars, bursty web serving and batch scans, each one row of a
+//!   workload-profile table, post timed bursts from per-tenant seeded
+//!   streams on an event queue the host owns next to the noise process,
+//!   with placement and churn modelling co-residency ([`ChurnConfig`]);
 //! * the [`Machine`] itself, which exposes to the attack code exactly the
 //!   operations an unprivileged attacker has: timed/untimed loads of its own
 //!   memory, `clflush` of its own lines, and waiting;
@@ -65,10 +65,7 @@ pub use noise::{
 };
 pub use pool::{config_key, MachinePool, PooledMachine, PoolStats};
 pub use schedule::{PeriodicToucher, ScheduledAccess, VictimProgram, VictimSchedule};
-pub use tenant::{
-    BatchScanTenant, BurstyWebTenant, ChurnConfig, HostSim, IdleTenant, StatisticalTenant, Tenant,
-    TenantAccess, TenantBurst, TenantPopulation, WorkloadKind,
-};
+pub use tenant::{ChurnConfig, TenantPopulation, WorkloadKind};
 
 // Re-export the types attack code needs constantly, so downstream crates can
 // depend on a single façade for machine-level interaction.

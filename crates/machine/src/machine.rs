@@ -10,7 +10,7 @@
 use crate::latency::LatencyModel;
 use crate::noise::{NoiseConfig, NoiseFidelity, NoiseModel, NoiseProcess};
 use crate::schedule::{VictimProgram, VictimSchedule};
-use crate::tenant::{HostSim, StatisticalTenant, TenantBurst, TenantPopulation};
+use crate::tenant::{HostSim, TenantBurst, TenantPopulation};
 use llc_cache_model::{
     AccessKind, AddressSpace, CacheSpec, CoreId, Hierarchy, HierarchyOptions, HitLevel, LineAddr,
     SetLocation, VirtAddr,
@@ -40,7 +40,7 @@ pub struct MachineStats {
     /// Victim requests completed.
     pub victim_runs: u64,
     /// Accesses posted by scheduled background tenants (event-queue actors;
-    /// the lazy statistical tenant's insertions count as `noise_events`).
+    /// the lazy noise process's insertions count as `noise_events`).
     pub tenant_accesses: u64,
 }
 
@@ -135,7 +135,7 @@ impl MachineBuilder {
         // per-event dispatch, so an Aggregate configuration effectively runs
         // Exact; record that so reports can label the run truthfully.
         noise.set_per_event_fallback(self.hierarchy_options.reuse_insert_probability > 0.0);
-        let mut host = HostSim::new(hierarchy, StatisticalTenant::new(noise), self.tenants);
+        let mut host = HostSim::new(hierarchy, noise, self.tenants);
         // Zero work and zero RNG draws for the empty population, preserving
         // the legacy configuration bit-for-bit.
         host.reseed_tenants(stream_seed(self.seed, RESEED_TENANT_STREAM), 0);
@@ -308,9 +308,9 @@ struct VictimRuntime {
 /// The simulated host machine.
 #[derive(Debug)]
 pub struct Machine {
-    /// The shared hierarchy plus every co-resident tenant — the lazy
-    /// statistical noise tenant and the event-scheduled background
-    /// workloads (see [`HostSim`]).
+    /// The shared hierarchy plus every co-resident tenant — the lazy noise
+    /// process and the event-scheduled background workloads (see
+    /// [`HostSim`]).
     host: HostSim,
     latency: LatencyModel,
     clock: u64,
@@ -374,12 +374,12 @@ impl Machine {
 
     /// The background-noise model in force.
     pub fn noise_model(&self) -> &NoiseModel {
-        self.host.statistical.process.model()
+        self.host.noise.model()
     }
 
     /// The noise fidelity in force (see [`NoiseFidelity`]).
     pub fn noise_fidelity(&self) -> NoiseFidelity {
-        self.host.statistical.process.fidelity()
+        self.host.noise.fidelity()
     }
 
     /// The noise fidelity the simulation *actually runs at*: an `Aggregate`
@@ -387,7 +387,7 @@ impl Machine {
     /// hierarchy's reuse predictor is active (see
     /// [`NoiseProcess::effective_fidelity`]). Report headers print this.
     pub fn effective_noise_fidelity(&self) -> NoiseFidelity {
-        self.host.statistical.process.effective_fidelity()
+        self.host.noise.effective_fidelity()
     }
 
     /// Simulation work counters.
@@ -832,14 +832,14 @@ impl Machine {
     /// aggregate mode draws only the per-structure insertion counts and
     /// applies them as one evict-and-fill transition.
     fn prepare_set_at(&mut self, loc: SetLocation, at: u64) {
-        match self.host.statistical.process.fidelity() {
+        match self.host.noise.fidelity() {
             NoiseFidelity::Exact => {
-                let events = self.host.statistical.process.catch_up(loc, at, &mut self.rng);
+                let events = self.host.noise.catch_up(loc, at, &mut self.rng);
                 self.stats.noise_events += events.len() as u64;
                 self.host.hierarchy.noise_access_bulk(loc, events.iter().map(|e| e.shared));
             }
             NoiseFidelity::Aggregate => {
-                let advance = self.host.statistical.process.catch_up_aggregate(loc, at, &mut self.rng);
+                let advance = self.host.noise.catch_up_aggregate(loc, at, &mut self.rng);
                 self.stats.noise_events += advance.total();
                 self.host.hierarchy.noise_advance_bulk(loc, advance.llc, advance.sf);
             }
@@ -894,7 +894,7 @@ impl Machine {
         self.advance_victim(to);
     }
 
-    /// Lands one tenant burst at cycle `at`: statistical catch-up over the
+    /// Lands one tenant burst at cycle `at`: noise catch-up over the
     /// burst's distinct sets first (canonical sorted order, same discipline
     /// as attacker traversals and victim replay), then the burst's accesses
     /// in posting order, with consecutive same-set runs applied through one

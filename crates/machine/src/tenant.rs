@@ -1,16 +1,15 @@
-//! The tenant actor layer: every source of cache activity on the simulated
-//! host — the statistical noise floor and structured background workloads —
-//! expressed as [`Tenant`] actors scheduled by a [`HostSim`].
+//! The host's co-resident tenants: the statistical noise floor and the
+//! structured background workloads, simulated together by a [`HostSim`].
 //!
-//! The host owns the [`Hierarchy`] plus a binary-heap event queue keyed on
-//! the machine's virtual clock. Scheduled tenants (bursty web serving, batch
-//! scans, idle sidecars) post timed cache-access events drawn from
-//! per-tenant seeded streams; the [`StatisticalTenant`] — the former
-//! free-standing `NoiseProcess` — stays *lazily* synchronised per set
-//! instead, exactly as before the refactor, which is what keeps the legacy
-//! single-attacker/single-victim configuration bit-identical (it posts no
-//! events, draws from the same machine RNG in the same order, and the event
-//! queue stays empty).
+//! The host owns the [`Hierarchy`], the Poisson [`NoiseProcess`] and a
+//! binary-heap event queue keyed on the machine's virtual clock. The noise
+//! process models all the *unmodelled* neighbours and is synchronised
+//! lazily, per set, when somebody observes that set; it posts no events and
+//! draws from the machine RNG, which is what keeps the tenant-free
+//! single-attacker/single-victim configuration bit-identical (its event
+//! queue stays empty). Background workloads (idle sidecars, bursty web
+//! serving, batch scans) are rows of one [`WorkloadProfile`] table: each
+//! slot posts timed cache-access bursts drawn from its own seeded stream.
 //!
 //! Tenant placement and churn model the paper's co-residency question:
 //! neighbours arrive, dwell for an exponentially distributed time, depart,
@@ -35,18 +34,18 @@ const TENANT_STREAM: u64 = u64::from_le_bytes(*b"tenant\0\0");
 /// One background access posted by a tenant: the shared set it lands in and
 /// whether it allocates in the LLC (`true`, a shared line) or the snoop
 /// filter (`false`, another tenant's private line).
-pub type TenantAccess = (SetLocation, bool);
+pub(crate) type TenantAccess = (SetLocation, bool);
 
 /// Reusable buffer a tenant fills with one event's burst of accesses.
 ///
-/// Owned by the machine and handed to [`Tenant::on_event`] so the event
+/// Owned by the machine and handed to [`HostSim::step_tenant`] so the event
 /// dispatch hot path allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
-pub struct TenantBurst {
+pub(crate) struct TenantBurst {
     /// The burst's accesses, in posting order. Consecutive accesses to the
     /// same set are applied through one borrowed set view
     /// (`Hierarchy::noise_access_bulk`).
-    pub accesses: Vec<TenantAccess>,
+    pub(crate) accesses: Vec<TenantAccess>,
     /// Scratch: the burst's distinct locations, for canonical noise
     /// catch-up ordering before the accesses land.
     pub(crate) locs: Vec<SetLocation>,
@@ -54,42 +53,10 @@ pub struct TenantBurst {
 
 impl TenantBurst {
     /// Empties the buffer (keeping its allocations).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.accesses.clear();
         self.locs.clear();
     }
-}
-
-/// A co-resident tenant actor.
-///
-/// Tenants come in two temporal shapes, distinguished by what
-/// [`Tenant::place`] returns:
-///
-/// * **Scheduled** tenants return their first event time; the host enqueues
-///   it and thereafter calls [`Tenant::on_event`] at each scheduled cycle,
-///   interleaved with victim replay in timestamp order.
-/// * **Lazy** tenants return `None`: they post no events and are instead
-///   synchronised per set at observation time (the [`StatisticalTenant`]'s
-///   Poisson catch-up, evaluated only for sets somebody actually looks at).
-pub trait Tenant: std::fmt::Debug {
-    /// Short human label for reports ("idle", "bursty-web", ...).
-    fn label(&self) -> &'static str;
-
-    /// (Re)places the tenant on a host with the given shared geometry:
-    /// draws a fresh working-set footprint from `rng` and returns the cycle
-    /// of its first activity event (`None` for lazy tenants).
-    fn place(&mut self, geometry: SharedGeometry, now: u64, rng: &mut StdRng) -> Option<u64>;
-
-    /// Executes the activity event scheduled at `at`: posts the burst's
-    /// accesses into `burst` and returns the next event time (`None` to
-    /// stop scheduling).
-    fn on_event(
-        &mut self,
-        at: u64,
-        geometry: SharedGeometry,
-        rng: &mut StdRng,
-        burst: &mut TenantBurst,
-    ) -> Option<u64>;
 }
 
 /// Draws an exponentially distributed gap with the given mean, in cycles
@@ -100,203 +67,55 @@ fn exp_gap(rng: &mut StdRng, mean: f64) -> u64 {
     (-u.ln() * mean).ceil().max(1.0) as u64
 }
 
-/// Draws a uniformly random shared-set location.
-fn random_loc(geometry: SharedGeometry, rng: &mut StdRng) -> SetLocation {
-    geometry.location(rng.gen::<u64>() as usize % geometry.total_sets())
+/// The gap between a workload's consecutive events.
+#[derive(Debug, Clone, Copy)]
+enum Gap {
+    /// Exponentially distributed with this mean: a Poisson event stream.
+    Exponential(f64),
+    /// Exactly this many cycles: a steady sweep, drawing nothing.
+    Fixed(u64),
 }
 
-// ---------------------------------------------------------------------------
-// The statistical tenant (the former free-standing noise process)
-// ---------------------------------------------------------------------------
-
-/// The statistical noise floor as a tenant: wraps the Poisson
-/// [`NoiseProcess`] that models the aggregate LLC/SF traffic of all the
-/// *unmodelled* neighbours (11.5 accesses/ms/set on Cloud Run).
-///
-/// This is the lazy tenant kind: it never posts events. Each shared set is
-/// caught up on demand when the attacker or victim touches it, drawing from
-/// the machine's RNG in exactly the pre-refactor order — the bit-identity
-/// anchor for every existing golden.
-#[derive(Debug, Clone)]
-pub struct StatisticalTenant {
-    pub(crate) process: NoiseProcess,
-}
-
-impl StatisticalTenant {
-    /// Wraps a noise process as the host's lazy statistical tenant.
-    pub fn new(process: NoiseProcess) -> Self {
-        Self { process }
-    }
-
-    /// The wrapped noise process.
-    pub fn process(&self) -> &NoiseProcess {
-        &self.process
-    }
-
-    /// Mutable access to the wrapped noise process.
-    pub fn process_mut(&mut self) -> &mut NoiseProcess {
-        &mut self.process
-    }
-}
-
-impl Tenant for StatisticalTenant {
-    fn label(&self) -> &'static str {
-        "statistical"
-    }
-
-    fn place(&mut self, _geometry: SharedGeometry, _now: u64, _rng: &mut StdRng) -> Option<u64> {
-        None // lazy: synchronised per set at observation time
-    }
-
-    fn on_event(
-        &mut self,
-        _at: u64,
-        _geometry: SharedGeometry,
-        _rng: &mut StdRng,
-        _burst: &mut TenantBurst,
-    ) -> Option<u64> {
-        None // never scheduled
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scheduled background workloads
-// ---------------------------------------------------------------------------
-
-/// An idle neighbour: a mostly-sleeping sidecar that touches a tiny
-/// working set about once per millisecond.
-#[derive(Debug, Clone, Default)]
-pub struct IdleTenant {
-    footprint: Vec<SetLocation>,
-}
-
-impl IdleTenant {
-    const FOOTPRINT_SETS: usize = 8;
-    const MEAN_GAP_CYCLES: f64 = 2_000_000.0; // ~1 wakeup per ms at 2 GHz
-    const ACCESSES_PER_EVENT: usize = 2;
-}
-
-impl Tenant for IdleTenant {
-    fn label(&self) -> &'static str {
-        "idle"
-    }
-
-    fn place(&mut self, geometry: SharedGeometry, now: u64, rng: &mut StdRng) -> Option<u64> {
-        self.footprint.clear();
-        self.footprint.extend((0..Self::FOOTPRINT_SETS).map(|_| random_loc(geometry, rng)));
-        Some(now + exp_gap(rng, Self::MEAN_GAP_CYCLES))
-    }
-
-    fn on_event(
-        &mut self,
-        at: u64,
-        _geometry: SharedGeometry,
-        rng: &mut StdRng,
-        burst: &mut TenantBurst,
-    ) -> Option<u64> {
-        for _ in 0..Self::ACCESSES_PER_EVENT {
-            let loc = self.footprint[rng.gen::<u64>() as usize % self.footprint.len()];
-            burst.accesses.push((loc, rng.gen::<f64>() < 0.5));
+impl Gap {
+    fn draw(self, rng: &mut StdRng) -> u64 {
+        match self {
+            Gap::Exponential(mean) => exp_gap(rng, mean),
+            Gap::Fixed(cycles) => cycles,
         }
-        Some(at + exp_gap(rng, Self::MEAN_GAP_CYCLES))
     }
 }
 
-/// A bursty web-serving neighbour: requests arrive as a Poisson process
-/// (~5 per millisecond) and each request touches a few hot sets of a larger
-/// footprint with a short same-set run per hot set (the shape that makes
-/// the set-view bulk access path pay off).
-#[derive(Debug, Clone, Default)]
-pub struct BurstyWebTenant {
-    footprint: Vec<SetLocation>,
-}
-
-impl BurstyWebTenant {
-    const FOOTPRINT_SETS: usize = 32;
-    const MEAN_GAP_CYCLES: f64 = 400_000.0; // ~5 requests per ms at 2 GHz
-    const HOT_SETS_PER_REQUEST: usize = 4;
-    const RUN_PER_HOT_SET: usize = 6;
-}
-
-impl Tenant for BurstyWebTenant {
-    fn label(&self) -> &'static str {
-        "bursty-web"
-    }
-
-    fn place(&mut self, geometry: SharedGeometry, now: u64, rng: &mut StdRng) -> Option<u64> {
-        self.footprint.clear();
-        self.footprint.extend((0..Self::FOOTPRINT_SETS).map(|_| random_loc(geometry, rng)));
-        Some(now + exp_gap(rng, Self::MEAN_GAP_CYCLES))
-    }
-
-    fn on_event(
-        &mut self,
-        at: u64,
-        _geometry: SharedGeometry,
-        rng: &mut StdRng,
-        burst: &mut TenantBurst,
-    ) -> Option<u64> {
-        for _ in 0..Self::HOT_SETS_PER_REQUEST {
-            let loc = self.footprint[rng.gen::<u64>() as usize % self.footprint.len()];
-            for _ in 0..Self::RUN_PER_HOT_SET {
-                // Web-serving working sets are mostly shared (page cache,
-                // code): most insertions contend in the LLC.
-                burst.accesses.push((loc, rng.gen::<f64>() < 0.6));
-            }
-        }
-        Some(at + exp_gap(rng, Self::MEAN_GAP_CYCLES))
-    }
-}
-
-/// A batch-scan neighbour: a steady sequential sweep over the whole shared
-/// set space (analytics / compaction / backup traffic), one stripe of
-/// consecutive sets per fixed-interval event.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScanTenant {
-    cursor: usize,
-}
-
-impl BatchScanTenant {
-    const INTERVAL_CYCLES: u64 = 25_000;
-    const SETS_PER_EVENT: usize = 8;
-}
-
-impl Tenant for BatchScanTenant {
-    fn label(&self) -> &'static str {
-        "batch-scan"
-    }
-
-    fn place(&mut self, geometry: SharedGeometry, now: u64, rng: &mut StdRng) -> Option<u64> {
-        self.cursor = rng.gen::<u64>() as usize % geometry.total_sets();
-        Some(now + Self::INTERVAL_CYCLES)
-    }
-
-    fn on_event(
-        &mut self,
-        at: u64,
-        geometry: SharedGeometry,
-        rng: &mut StdRng,
-        burst: &mut TenantBurst,
-    ) -> Option<u64> {
-        let total = geometry.total_sets();
-        for k in 0..Self::SETS_PER_EVENT {
-            let loc = geometry.location((self.cursor + k) % total);
-            // Streaming reads of private buffers: mostly SF insertions.
-            burst.accesses.push((loc, rng.gen::<f64>() < 0.25));
-        }
-        self.cursor = (self.cursor + Self::SETS_PER_EVENT) % total;
-        Some(at + Self::INTERVAL_CYCLES)
-    }
+/// One background workload as data: its working set, its event rate, and
+/// what each event touches.
+#[derive(Debug, Clone, Copy)]
+struct WorkloadProfile {
+    /// Sets in the working set, drawn uniformly at placement. 0 means a
+    /// stripe scan: a random starting set, then consecutive sets.
+    footprint_sets: usize,
+    /// Gap between events.
+    gap_cycles: Gap,
+    /// Sets touched per event: picked from the footprint, or the next
+    /// stripe of a scan.
+    hot_sets: usize,
+    /// Consecutive accesses per hot set.
+    run: usize,
+    /// Probability that an access is to a shared line (an LLC insertion)
+    /// rather than a private one (an SF insertion).
+    shared: f64,
 }
 
 /// The background workload kinds a host population can be composed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
-    /// Mostly-sleeping sidecar ([`IdleTenant`]).
+    /// A mostly-sleeping sidecar touching a tiny working set about once per
+    /// millisecond.
     Idle,
-    /// Poisson request bursts over hot sets ([`BurstyWebTenant`]).
+    /// A web server: Poisson request arrivals (~5 per millisecond), each
+    /// touching a few hot sets of a larger footprint with a short same-set
+    /// run per hot set.
     BurstyWeb,
-    /// Steady sequential sweep of the set space ([`BatchScanTenant`]).
+    /// A steady sequential sweep over the whole shared set space (analytics,
+    /// compaction or backup traffic), one stripe per fixed-interval event.
     BatchScan,
 }
 
@@ -320,30 +139,34 @@ impl WorkloadKind {
         }
     }
 
-    fn instance(self) -> WorkloadTenant {
+    /// This kind's shape. Gaps are in cycles: at 2 GHz an idle sidecar
+    /// wakes about once per ms, a web server takes ~5 requests per ms.
+    fn profile(self) -> WorkloadProfile {
         match self {
-            Self::Idle => WorkloadTenant::Idle(IdleTenant::default()),
-            Self::BurstyWeb => WorkloadTenant::Bursty(BurstyWebTenant::default()),
-            Self::BatchScan => WorkloadTenant::Batch(BatchScanTenant::default()),
-        }
-    }
-}
-
-/// Runtime state of a scheduled workload, enum-dispatched (like the cache
-/// core's replacement policies) so slots stay `Clone` for snapshots.
-#[derive(Debug, Clone)]
-enum WorkloadTenant {
-    Idle(IdleTenant),
-    Bursty(BurstyWebTenant),
-    Batch(BatchScanTenant),
-}
-
-impl WorkloadTenant {
-    fn as_tenant_mut(&mut self) -> &mut dyn Tenant {
-        match self {
-            Self::Idle(t) => t,
-            Self::Bursty(t) => t,
-            Self::Batch(t) => t,
+            Self::Idle => WorkloadProfile {
+                footprint_sets: 8,
+                gap_cycles: Gap::Exponential(2_000_000.0),
+                hot_sets: 2,
+                run: 1,
+                shared: 0.5,
+            },
+            // Web-serving working sets are mostly shared (page cache, code):
+            // most insertions contend in the LLC.
+            Self::BurstyWeb => WorkloadProfile {
+                footprint_sets: 32,
+                gap_cycles: Gap::Exponential(400_000.0),
+                hot_sets: 4,
+                run: 6,
+                shared: 0.6,
+            },
+            // Streaming reads of private buffers: mostly SF insertions.
+            Self::BatchScan => WorkloadProfile {
+                footprint_sets: 0,
+                gap_cycles: Gap::Fixed(25_000),
+                hot_sets: 8,
+                run: 1,
+                shared: 0.25,
+            },
         }
     }
 }
@@ -478,12 +301,15 @@ pub(crate) struct HostEvent {
     generation: u64,
 }
 
-/// One background tenant slot: the workload state machine plus its private
+/// One background tenant slot: its workload's working set plus its private
 /// seeded stream and churn bookkeeping.
 #[derive(Debug, Clone)]
 struct TenantSlot {
-    workload: WorkloadTenant,
     kind: WorkloadKind,
+    /// The working set drawn at placement (empty for a stripe scan).
+    footprint: Vec<SetLocation>,
+    /// A stripe scan's next starting set, as a flat shared-set index.
+    cursor: usize,
     rng: StdRng,
     /// Per-slot base seed (derived from the machine seed via
     /// `stream_seed`); generations re-derive from it.
@@ -494,19 +320,59 @@ struct TenantSlot {
     present: bool,
 }
 
-/// The simulated host: the shared [`Hierarchy`], the lazy
-/// [`StatisticalTenant`], and the scheduled background tenants with their
-/// binary-heap event queue keyed on the machine's virtual clock.
+impl TenantSlot {
+    /// Draws a fresh working set (or scan start) and returns the cycle of
+    /// the tenant's first event.
+    fn place(&mut self, geometry: SharedGeometry, now: u64) -> u64 {
+        let profile = self.kind.profile();
+        let total = geometry.total_sets();
+        self.footprint.clear();
+        if profile.footprint_sets == 0 {
+            self.cursor = self.rng.gen::<u64>() as usize % total;
+        } else {
+            for _ in 0..profile.footprint_sets {
+                let flat = self.rng.gen::<u64>() as usize % total;
+                self.footprint.push(geometry.location(flat));
+            }
+        }
+        now + profile.gap_cycles.draw(&mut self.rng)
+    }
+
+    /// Posts the accesses of the event scheduled at `at` into `burst` and
+    /// returns the cycle of the next one.
+    fn on_event(&mut self, at: u64, geometry: SharedGeometry, burst: &mut TenantBurst) -> u64 {
+        let profile = self.kind.profile();
+        let total = geometry.total_sets();
+        for k in 0..profile.hot_sets {
+            let loc = if profile.footprint_sets == 0 {
+                geometry.location((self.cursor + k) % total)
+            } else {
+                self.footprint[self.rng.gen::<u64>() as usize % self.footprint.len()]
+            };
+            for _ in 0..profile.run {
+                burst.accesses.push((loc, self.rng.gen::<f64>() < profile.shared));
+            }
+        }
+        if profile.footprint_sets == 0 {
+            self.cursor = (self.cursor + profile.hot_sets) % total;
+        }
+        at + profile.gap_cycles.draw(&mut self.rng)
+    }
+}
+
+/// The simulated host: the shared [`Hierarchy`], the lazy [`NoiseProcess`],
+/// and the scheduled background tenants with their binary-heap event queue
+/// keyed on the machine's virtual clock.
 ///
 /// The machine drives it: `Machine::tick` interleaves queued tenant events
 /// with victim replay in timestamp order (ties resolve victim-first), and
-/// routes each burst through the statistical tenant's per-set catch-up
-/// before the burst's own accesses land — identical ordering discipline to
-/// the victim replay path.
+/// routes each burst through the noise process's per-set catch-up before
+/// the burst's own accesses land — identical ordering discipline to the
+/// victim replay path.
 #[derive(Debug, Clone)]
-pub struct HostSim {
+pub(crate) struct HostSim {
     pub(crate) hierarchy: Hierarchy,
-    pub(crate) statistical: StatisticalTenant,
+    pub(crate) noise: NoiseProcess,
     population: TenantPopulation,
     slots: Vec<TenantSlot>,
     queue: BinaryHeap<Reverse<HostEvent>>,
@@ -518,46 +384,39 @@ pub struct HostSim {
 impl HostSim {
     pub(crate) fn new(
         hierarchy: Hierarchy,
-        statistical: StatisticalTenant,
+        noise: NoiseProcess,
         population: TenantPopulation,
     ) -> Self {
         let slots = population
             .workloads
             .iter()
             .map(|&kind| TenantSlot {
-                workload: kind.instance(),
                 kind,
+                footprint: Vec::new(),
+                cursor: 0,
                 rng: StdRng::seed_from_u64(0),
                 seed: 0,
                 generation: 0,
                 present: false,
             })
             .collect();
-        Self {
-            hierarchy,
-            statistical,
-            population,
-            slots,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            arrivals: 0,
-        }
+        Self { hierarchy, noise, population, slots, queue: BinaryHeap::new(), seq: 0, arrivals: 0 }
     }
 
     /// The configured tenant population.
-    pub fn population(&self) -> &TenantPopulation {
+    pub(crate) fn population(&self) -> &TenantPopulation {
         &self.population
     }
 
     /// Number of background tenants currently resident (excludes slots
     /// waiting out a churn vacancy).
-    pub fn tenants_present(&self) -> usize {
+    pub(crate) fn tenants_present(&self) -> usize {
         self.slots.iter().filter(|s| s.present).count()
     }
 
     /// Total tenant arrivals so far: initial placements plus churn
     /// migrations.
-    pub fn arrivals(&self) -> u64 {
+    pub(crate) fn arrivals(&self) -> u64 {
         self.arrivals
     }
 
@@ -595,24 +454,30 @@ impl HostSim {
             return;
         }
         let family = stream_seed(master, TENANT_STREAM);
-        let geometry = self.hierarchy.shared_geometry();
-        let churn = self.population.churn;
         for index in 0..self.slots.len() {
             let slot = &mut self.slots[index];
             slot.seed = stream_seed(family, index as u64);
             slot.generation = 0;
-            slot.rng = StdRng::seed_from_u64(stream_seed(slot.seed, 0));
-            slot.workload = slot.kind.instance();
-            slot.present = true;
-            let first = slot.workload.as_tenant_mut().place(geometry, now, &mut slot.rng);
-            let dwell = churn.map(|c| now + exp_gap(&mut slot.rng, c.mean_dwell_cycles));
-            self.arrivals += 1;
-            if let Some(at) = first {
-                self.push(at, index as u32, EventKind::Work, 0);
-            }
-            if let Some(at) = dwell {
-                self.push(at, index as u32, EventKind::Depart, 0);
-            }
+            self.arrive(index, now);
+        }
+    }
+
+    /// Moves the slot's current generation in at `now`: re-seeds its stream,
+    /// places it, and schedules its first event and (under churn) its
+    /// departure.
+    fn arrive(&mut self, index: usize, now: u64) {
+        let geometry = self.hierarchy.shared_geometry();
+        let churn = self.population.churn;
+        let slot = &mut self.slots[index];
+        slot.rng = StdRng::seed_from_u64(stream_seed(slot.seed, slot.generation));
+        slot.present = true;
+        let first = slot.place(geometry, now);
+        let dwell = churn.map(|c| now + exp_gap(&mut slot.rng, c.mean_dwell_cycles));
+        let generation = slot.generation;
+        self.arrivals += 1;
+        self.push(first, index as u32, EventKind::Work, generation);
+        if let Some(at) = dwell {
+            self.push(at, index as u32, EventKind::Depart, generation);
         }
     }
 
@@ -622,9 +487,7 @@ impl HostSim {
     pub(crate) fn step_tenant(&mut self, event: HostEvent, burst: &mut TenantBurst) {
         burst.clear();
         let geometry = self.hierarchy.shared_geometry();
-        let churn = self.population.churn;
-        let index = event.slot as usize;
-        let slot = &mut self.slots[index];
+        let slot = &mut self.slots[event.slot as usize];
         match event.kind {
             EventKind::Work => {
                 // Drop stale work: the posting tenant has departed (vacancy
@@ -634,35 +497,21 @@ impl HostSim {
                 if !slot.present || event.generation != slot.generation {
                     return;
                 }
-                let next =
-                    slot.workload.as_tenant_mut().on_event(event.at, geometry, &mut slot.rng, burst);
-                if let Some(at) = next {
-                    self.push(at, event.slot, EventKind::Work, event.generation);
-                }
+                let next = slot.on_event(event.at, geometry, burst);
+                self.push(next, event.slot, EventKind::Work, event.generation);
             }
             EventKind::Depart => {
-                let Some(churn) = churn else { return };
+                let Some(churn) = self.population.churn else { return };
                 slot.present = false;
                 let gap = exp_gap(&mut slot.rng, churn.mean_gap_cycles());
                 let generation = slot.generation;
                 self.push(event.at + gap, event.slot, EventKind::Arrive, generation);
             }
             EventKind::Arrive => {
-                let Some(churn) = churn else { return };
                 // A *different* neighbour moves in: new generation, new
                 // sub-stream, fresh working set.
                 slot.generation += 1;
-                slot.rng = StdRng::seed_from_u64(stream_seed(slot.seed, slot.generation));
-                slot.workload = slot.kind.instance();
-                slot.present = true;
-                self.arrivals += 1;
-                let first = slot.workload.as_tenant_mut().place(geometry, event.at, &mut slot.rng);
-                let dwell = event.at + exp_gap(&mut slot.rng, churn.mean_dwell_cycles);
-                let generation = slot.generation;
-                if let Some(at) = first {
-                    self.push(at, event.slot, EventKind::Work, generation);
-                }
-                self.push(dwell, event.slot, EventKind::Depart, generation);
+                self.arrive(event.slot as usize, event.at);
             }
         }
     }
@@ -671,7 +520,7 @@ impl HostSim {
     /// where the collections allow (the per-trial machine-restore hot path).
     pub(crate) fn restore_from(&mut self, source: &HostSim) {
         self.hierarchy.restore_from(&source.hierarchy);
-        self.statistical.process.restore_from(&source.statistical.process);
+        self.noise.restore_from(&source.noise);
         self.population.clone_from(&source.population);
         self.slots.clone_from(&source.slots);
         self.queue.clone_from(&source.queue);
@@ -740,19 +589,72 @@ mod tests {
         );
     }
 
-    /// A churned single-slot host for the stale-event tests.
-    fn churned_host(spec: &str) -> HostSim {
+    /// A `tiny_test` host running `population`, placed by `reseed_tenants(42, 0)`.
+    fn tiny_host(population: TenantPopulation) -> HostSim {
         use crate::noise::NoiseModel;
         let hierarchy = Hierarchy::new(llc_cache_model::CacheSpec::tiny_test(), 1);
         let geometry = hierarchy.shared_geometry();
         let noise =
             NoiseProcess::new(NoiseModel::silent(), geometry.sets_per_slice, geometry.slices);
+        let mut host = HostSim::new(hierarchy, noise, population);
+        host.reseed_tenants(42, 0);
+        host
+    }
+
+    /// A churned host for the stale-event tests.
+    fn churned_host(spec: &str) -> HostSim {
         let population = TenantPopulation::parse(spec)
             .expect("valid spec")
             .with_churn(ChurnConfig { mean_dwell_cycles: 100_000.0 });
-        let mut host = HostSim::new(hierarchy, StatisticalTenant::new(noise), population);
-        host.reseed_tenants(42, 0);
-        host
+        tiny_host(population)
+    }
+
+    /// FNV-1a digest of a host's first 3,000 events: each event's
+    /// `(at, slot, kind, generation)`, each burst access's
+    /// `(slice, set, shared)`, then the arrival count.
+    fn event_stream_digest(population: TenantPopulation) -> u64 {
+        let mut host = tiny_host(population);
+        let mut burst = TenantBurst::default();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for _ in 0..3_000 {
+            let event = host.pop_event();
+            fold(event.at);
+            fold(u64::from(event.slot));
+            fold(event.kind as u64);
+            fold(event.generation);
+            host.step_tenant(event, &mut burst);
+            for &(loc, shared) in &burst.accesses {
+                fold(loc.slice as u64);
+                fold(loc.set as u64);
+                fold(u64::from(shared));
+            }
+        }
+        fold(host.arrivals());
+        digest
+    }
+
+    /// Pins every workload's exact RNG draw order (placement footprint, gap,
+    /// per-event picks and shared flags, churn dwell and vacancy), static
+    /// and churned: the digests were recorded before the workloads became
+    /// profile rows and must never move without a deliberate re-pin.
+    #[test]
+    fn workload_event_streams_are_pinned() {
+        let churn = ChurnConfig { mean_dwell_cycles: 100_000.0 };
+        let cases: [(&str, u64, u64); 3] = [
+            ("1*idle", 0xd679_e3f1_1f44_53df, 0xe7af_5e1a_77d8_4eb4),
+            ("1*bursty-web", 0x3b62_0f0c_ae4e_a637, 0x7a2e_0e6f_9212_14f8),
+            ("1*batch-scan", 0x6025_b27a_5cfe_d448, 0xb113_0c37_2ea9_374e),
+        ];
+        for (spec, fixed, churned) in cases {
+            let population = TenantPopulation::parse(spec).expect("valid spec");
+            assert_eq!(event_stream_digest(population.clone()), fixed, "{spec}, static");
+            assert_eq!(event_stream_digest(population.with_churn(churn)), churned, "{spec}, churned");
+        }
     }
 
     /// A `Work` event posted by a previous generation of a slot must be

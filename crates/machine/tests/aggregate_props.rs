@@ -4,7 +4,7 @@
 //! fleet thread count.
 
 use llc_cache_model::{CacheSpec, SetLocation, VirtAddr};
-use llc_fleet::{Fleet, Samples};
+use llc_fleet::{Aggregate, Fleet, Samples};
 use llc_machine::{Machine, NoiseAdvance, NoiseConfig, NoiseModel, NoiseProcess};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn aggregate_fleet_results_are_thread_invariant(master in any::<u64>()) {
         let workload = |threads: usize| -> Samples {
-            Fleet::new(threads).with_chunk(1).run_fold(8, master, |ctx| {
+            Samples::from_trials(Fleet::new(threads).with_chunk(1).run(8, master, |ctx| {
                 let mut machine = Machine::builder(CacheSpec::tiny_test())
                     .noise_config(NoiseConfig::aggregate(NoiseModel::cloud_run()))
                     .seed(ctx.seed)
@@ -95,7 +95,7 @@ proptest! {
                     total += machine.timed_access(va).0;
                 }
                 total as f64
-            })
+            }))
         };
         let serial = workload(1);
         let threaded = workload(3);

@@ -1,22 +1,12 @@
-//! Property-based bit-identity of the tenant-actor refactor: the
-//! [`StatisticalTenant`] is a transparent wrapper over the legacy
-//! `NoiseProcess` (identical events from identical RNG positions over any
-//! schedule), an empty tenant population leaves the machine bit-identical to
-//! the pre-refactor builder, and churned tenant populations are fully
-//! deterministic — per seed, across snapshot/reset replay, and across fleet
-//! thread counts.
+//! Property-based bit-identity of the tenant layer: an empty tenant
+//! population leaves the machine bit-identical to the pre-tenant builder,
+//! and churned tenant populations are fully deterministic — per seed, across
+//! snapshot/reset replay, and across fleet thread counts.
 
-use llc_cache_model::{CacheSpec, SharedGeometry, VirtAddr};
+use llc_cache_model::{CacheSpec, VirtAddr};
 use llc_fleet::Fleet;
-use llc_machine::{
-    ChurnConfig, Machine, NoiseModel, NoiseProcess, StatisticalTenant, TenantPopulation,
-};
+use llc_machine::{ChurnConfig, Machine, NoiseModel, TenantPopulation};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-/// Shared-set geometry used by the process-level properties.
-const GEOMETRY: SharedGeometry = SharedGeometry { slices: 2, sets_per_slice: 64 };
 
 /// The co-resident population the churn properties run under.
 fn churned_population() -> TenantPopulation {
@@ -41,32 +31,6 @@ fn run_script(machine: &mut Machine, probes: &[VirtAddr], rounds: usize) -> (u64
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The statistical tenant is the legacy noise process, verbatim: over an
-    /// arbitrary observation schedule, a wrapped and a free-standing process
-    /// with the same model and RNG position emit identical event streams.
-    #[test]
-    fn statistical_tenant_matches_legacy_noise_process(
-        seed in any::<u64>(),
-        per_ms in 0.2f64..30.0,
-        schedule in prop::collection::vec((0usize..128, 1u64..2_000_000), 1..32),
-    ) {
-        let model = NoiseModel::from_accesses_per_ms(per_ms, 1.5, "prop");
-        let legacy = NoiseProcess::new(model, GEOMETRY.sets_per_slice, GEOMETRY.slices);
-        let mut wrapped = StatisticalTenant::new(legacy.clone());
-        let mut legacy = legacy;
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = rng_a.clone();
-        let mut now = 0u64;
-        for (flat, gap) in schedule {
-            now += gap;
-            let loc = GEOMETRY.location(flat);
-            let via_tenant =
-                wrapped.process_mut().catch_up(loc, now, &mut rng_a).to_vec();
-            let direct = legacy.catch_up(loc, now, &mut rng_b).to_vec();
-            prop_assert_eq!(via_tenant, direct);
-        }
-    }
 
     /// An empty tenant population is the pre-refactor machine: every timed
     /// observation, the clock and the noise counters match a machine built
