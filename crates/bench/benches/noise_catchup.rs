@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_bench::experiments::Environment;
 use llc_cache_model::{CacheSpec, VirtAddr};
 use llc_evsets::{oracle, CandidateSet};
-use llc_machine::{Machine, NoiseConfig, NoiseFidelity};
+use llc_machine::{Machine, NoiseFidelity};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -42,7 +42,8 @@ const SHORT_IDLE: u64 = 100_000;
 fn fixture(environment: Environment, fidelity: NoiseFidelity) -> (Machine, Vec<VirtAddr>) {
     let spec = CacheSpec::skylake_sp(2, 4);
     let mut machine = Machine::builder(spec.clone())
-        .noise_config(NoiseConfig::exact(environment.noise()).with_fidelity(fidelity))
+        .noise(environment.noise())
+        .noise_fidelity(fidelity)
         .seed(0x97a4)
         .build();
     let mut rng = SmallRng::seed_from_u64(0x97a4);

@@ -13,8 +13,10 @@ use llc_core::{
     RecoveryConfig, ScanConfig, TraceClassifier,
 };
 use llc_ecdsa_victim::{EcdsaVictim, EcdsaVictimConfig, Scalar};
-use llc_evsets::{oracle, test_eviction, CandidateSet, EvictionSet, TargetCache, TraversalOrder};
-use llc_fleet::{stream_seed, Aggregate, Counts, Fleet, Samples};
+use llc_evsets::{
+    oracle, test_eviction, CandidateSet, EvictionSet, EvsetError, TargetCache, TraversalOrder,
+};
+use llc_fleet::{stream_seed, Fleet};
 use llc_machine::{Machine, NoiseFidelity, NoiseModel, TenantPopulation};
 use llc_probe::{
     run_covert_channel, AccessTrace, CovertChannelConfig, Monitor, MonitorStats, Strategy,
@@ -234,6 +236,12 @@ pub struct BulkEstimate {
 
 /// Measures bulk construction for `scope` by building `sample_sets` eviction
 /// sets and extrapolating to the scenario's full set count.
+///
+/// # Errors
+///
+/// Returns the builder's error when candidate filtering fails before any
+/// set is attempted: under a non-LRU L2 policy the filter often cannot
+/// build a verified L2 eviction set.
 pub fn measure_bulk(
     spec: &CacheSpec,
     environment: Environment,
@@ -241,7 +249,7 @@ pub fn measure_bulk(
     scope: llc_evsets::Scope,
     sample_sets: usize,
     seed: u64,
-) -> BulkEstimate {
+) -> Result<BulkEstimate, EvsetError> {
     let algo = algorithm.instance();
     let mut machine =
         Machine::builder(spec.clone()).noise(environment.noise()).seed(seed).build();
@@ -251,7 +259,7 @@ pub fn measure_bulk(
         ..llc_evsets::BulkConfig::default()
     };
     let builder = llc_evsets::BulkBuilder::new(algo.as_ref(), bulk_cfg);
-    let outcome = builder.run(&mut machine, scope, &mut rng).expect("bulk construction starts");
+    let outcome = builder.run(&mut machine, scope, &mut rng)?;
 
     let required = scope.required_sets(spec);
     let sampled_seconds = outcome.total_cycles as f64 / (spec.freq_ghz * 1e9);
@@ -266,7 +274,7 @@ pub fn measure_bulk(
     let filter_seconds = outcome.filter_cycles as f64 / (spec.freq_ghz * 1e9);
     let estimated_total_seconds = filter_seconds + required as f64 * per_set_seconds / success_rate;
 
-    BulkEstimate {
+    Ok(BulkEstimate {
         algorithm: algorithm.name(),
         environment: environment.label(),
         required_sets: required,
@@ -274,7 +282,7 @@ pub fn measure_bulk(
         success_rate: outcome.success_rate(),
         sampled_seconds,
         estimated_total_seconds,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -491,37 +499,6 @@ struct IdentTrial {
     scan_rate: Option<f64>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct IdentAgg {
-    successes: Counts,
-    times: Samples,
-    scan_rates: Samples,
-}
-
-impl Aggregate for IdentAgg {
-    type Item = IdentTrial;
-
-    fn empty() -> Self {
-        Self::default()
-    }
-
-    fn record(&mut self, trial: u64, item: IdentTrial) {
-        self.successes.record(trial, item.success);
-        if let Some(t) = item.time_s {
-            self.times.record(trial, t);
-        }
-        if let Some(r) = item.scan_rate {
-            self.scan_rates.record(trial, r);
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.successes.merge(other.successes);
-        self.times.merge(other.times);
-        self.scan_rates.merge(other.scan_rates);
-    }
-}
-
 /// Runs the Table 6 identification experiment: the victim signs continuously
 /// while the attacker scans oracle-built eviction sets (Step 1 is out of
 /// scope here) until the PSD+SVM classifier flags the target.
@@ -559,7 +536,7 @@ pub fn measure_identification(
     });
     let scan_cfg = ScanConfig { timeout_cycles, ..ScanConfig::default() };
 
-    let agg = IdentAgg::from_trials(fleet.run_with(
+    let outcomes = fleet.run_with(
         trials,
         seed,
         |_worker| snapshot.to_machine(),
@@ -628,13 +605,22 @@ pub fn measure_identification(
                 scan_rate: Some(outcome.scan_rate_per_s),
             }
         },
-    ));
+    );
 
+    // Serial folds over the trial-ordered outcomes: the same sums, in the
+    // same order, at every thread count.
+    let successes = outcomes.iter().filter(|o| o.success).count();
+    let times: Vec<f64> = outcomes.iter().filter_map(|o| o.time_s).collect();
+    let rates: Vec<f64> = outcomes.iter().filter_map(|o| o.scan_rate).collect();
     IdentificationStats {
         scenario: if candidate_sets <= spec.sf.uncertainty() { "PageOffset" } else { "WholeSys" },
-        success_rate: agg.successes.rate(),
-        success_time_s: SampleStats::from_summary(agg.times.summary()),
-        scan_rate_per_s: if agg.scan_rates.is_empty() { 0.0 } else { agg.scan_rates.summary().mean },
+        success_rate: if outcomes.is_empty() {
+            0.0
+        } else {
+            successes as f64 / outcomes.len() as f64
+        },
+        success_time_s: SampleStats::from(&times),
+        scan_rate_per_s: SampleStats::from(&rates).mean,
     }
 }
 
@@ -1276,7 +1262,7 @@ pub fn run_end_to_end(spec: &CacheSpec, environment: Environment, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_cache_model::CacheSpec;
+    use llc_cache_model::{CacheSpec, ReplacementKind};
 
     fn tiny() -> CacheSpec {
         CacheSpec::tiny_test()
@@ -1368,9 +1354,27 @@ mod tests {
             llc_evsets::Scope::PageOffset,
             2,
             2,
-        );
+        )
+        .expect("LRU candidate filtering verifies");
         assert!(est.required_sets >= est.sampled_sets);
         assert!(est.estimated_total_seconds >= 0.0);
+    }
+
+    /// Candidate filtering cannot verify an L2 eviction set under Tree-PLRU:
+    /// the estimate is a typed error for the report to render, not a panic.
+    #[test]
+    fn bulk_estimate_reports_a_filtering_failure_as_an_error() {
+        let spec = crate::smoke_skylake().with_replacement(ReplacementKind::TreePlru);
+        let err = measure_bulk(
+            &spec,
+            Environment::QuiescentLocal,
+            Algorithm::BinS,
+            llc_evsets::Scope::PageOffset,
+            1,
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(err, EvsetError::VerificationFailed);
     }
 
     #[test]

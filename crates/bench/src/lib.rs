@@ -83,7 +83,7 @@ pub mod sweeps;
 use llc_cache_model::{
     CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHashSelect,
 };
-use llc_fleet::{Fleet, Summary};
+use llc_fleet::Fleet;
 use llc_machine::{ChurnConfig, Machine, NoiseFidelity, TenantPopulation};
 
 /// Reads a positive integer from the environment, with a default.
@@ -474,12 +474,6 @@ pub struct SampleStats {
 }
 
 impl SampleStats {
-    /// Converts an `llc-fleet` [`Summary`] (whose mean/σ/median are folded in
-    /// canonical trial order and therefore thread-count-independent).
-    pub fn from_summary(s: Summary) -> Self {
-        Self { mean: s.mean, std_dev: s.std_dev, median: s.median }
-    }
-
     /// Computes mean, standard deviation and median of `values`.
     pub fn from(values: &[f64]) -> Self {
         if values.is_empty() {
@@ -686,18 +680,6 @@ mod tests {
         assert_eq!(o.trials(2, 100), 2);
         let loud = RunOpts { smoke: false, ..RunOpts::smoke_with_threads(1) };
         assert_eq!(loud.trials(2, 100), trials(100));
-    }
-
-    #[test]
-    fn sample_stats_from_summary_round_trips() {
-        let mut samples = llc_fleet::Samples::default();
-        for (t, v) in [(0u64, 1.0), (1, 3.0), (2, 5.0)] {
-            use llc_fleet::Aggregate;
-            samples.record(t, v);
-        }
-        let stats = SampleStats::from_summary(samples.summary());
-        let direct = SampleStats::from(&[1.0, 3.0, 5.0]);
-        assert_eq!(stats, direct);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! Report text in `--smoke` mode is pinned: fixed 4-slice host, fixed trial
 //! counts, no environment-variable dependence — and, because every trial
-//! seed is derived from `(master seed, trial index)` and aggregation is
-//! order-independent, the bytes are identical for every `--threads` value.
+//! seed is derived from `(master seed, trial index)` and results are
+//! returned in trial order, the bytes are identical for every `--threads`
+//! value.
 
 use crate::experiments::{
     measure_aes_ttable, measure_bulk, measure_identification, measure_key_recovery,
@@ -185,17 +186,29 @@ pub fn table4_report(opts: &RunOpts) -> String {
             let (env, algo) = cells[ctx.trial];
             measure_bulk(&spec, env, algo, scope, sample_sets, ctx.seed)
         });
-        for e in estimates {
-            writeln!(
-                w,
-                "{:<18} {:<8} {:>8} {:>10} {:>14.2} {:>16.1}",
-                e.environment,
-                e.algorithm,
-                e.required_sets,
-                pct(e.success_rate),
-                e.sampled_seconds,
-                e.estimated_total_seconds
-            )
+        for (&(env, algo), estimate) in cells.iter().zip(estimates) {
+            match estimate {
+                Ok(e) => writeln!(
+                    w,
+                    "{:<18} {:<8} {:>8} {:>10} {:>14.2} {:>16.1}",
+                    e.environment,
+                    e.algorithm,
+                    e.required_sets,
+                    pct(e.success_rate),
+                    e.sampled_seconds,
+                    e.estimated_total_seconds
+                ),
+                // No set was attempted, so the row names the cause instead
+                // of printing sample and extrapolated times.
+                Err(err) => writeln!(
+                    w,
+                    "{:<18} {:<8} {:>8} {:>10}   candidate filtering failed: {err}",
+                    env.label(),
+                    algo.name(),
+                    scope.required_sets(&spec),
+                    pct(0.0)
+                ),
+            }
             .unwrap();
         }
     }

@@ -10,9 +10,9 @@
 //!
 //! The smoke configuration is pinned (fixed 4-slice host, fixed trial
 //! counts, no environment-variable dependence) and, because trial seeds are
-//! derived from `(master seed, trial index)` and aggregation is
-//! order-independent, the same bytes must come back at any thread count —
-//! which these tests also assert.
+//! derived from `(master seed, trial index)` and results are returned in
+//! trial order, the same bytes must come back at any thread count — which
+//! these tests also assert.
 //!
 //! To regenerate after an intentional change:
 //! `cargo run --release -p llc-bench --bin table3 -- --smoke > crates/bench/tests/golden/table3_smoke.txt`

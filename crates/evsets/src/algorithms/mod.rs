@@ -66,18 +66,6 @@ pub trait PruningAlgorithm: std::fmt::Debug {
     ) -> Result<PruneOutcome, EvsetError>;
 }
 
-/// Returns every implemented pruning algorithm, in the order used by the
-/// paper's tables (`Gt`, `GtOp`, `Ps`, `PsOp`, `BinS`).
-pub fn all_algorithms() -> Vec<Box<dyn PruningAlgorithm>> {
-    vec![
-        Box::new(GroupTesting::baseline()),
-        Box::new(GroupTesting::optimized()),
-        Box::new(PrimeScope::baseline()),
-        Box::new(PrimeScope::optimized()),
-        Box::new(BinarySearch::new()),
-    ]
-}
-
 /// Checks the deadline, mapping an overrun to [`EvsetError::Timeout`].
 pub(crate) fn check_deadline(machine: &Machine, start: u64, deadline: u64) -> Result<(), EvsetError> {
     if machine.now() > deadline {

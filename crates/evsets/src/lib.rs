@@ -47,9 +47,7 @@ mod evset;
 mod filter;
 mod test_eviction;
 
-pub use algorithms::{
-    all_algorithms, BinarySearch, GroupTesting, PrimeScope, PruneOutcome, PruningAlgorithm,
-};
+pub use algorithms::{BinarySearch, GroupTesting, PrimeScope, PruneOutcome, PruningAlgorithm};
 pub use builder::{extend_to_sf, ConstructionResult, EvsetBuilder};
 pub use bulk::{BulkBuilder, BulkConfig, BulkOutcome, Scope};
 pub use candidates::CandidateSet;

@@ -298,7 +298,6 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{Aggregate, Counts};
 
     #[test]
     fn results_come_back_in_trial_order() {
@@ -367,14 +366,6 @@ mod tests {
             .unwrap();
         assert_eq!(out[5], 1001);
         assert_eq!(out[11], 2003);
-    }
-
-    #[test]
-    fn from_trials_counts_all_trials() {
-        let fleet = Fleet::new(4).with_chunk(2);
-        let agg = Counts::from_trials(fleet.run(100, 3, |ctx| ctx.trial % 2 == 0));
-        assert_eq!(agg.total, 100);
-        assert_eq!(agg.hits, 50);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Determinism regression suite: the same `(master_seed, trial_count)` must
-//! yield bit-identical results and aggregates at 1, 2 and 8 worker threads,
-//! and per-trial seeds must never collide across a 10k-trial sweep.
+//! yield bit-identical, trial-ordered results, and so bit-identical serial
+//! folds over them, at 1, 2 and 8 worker threads, and per-trial seeds must
+//! never collide across a 10k-trial sweep.
 //!
-//! The workload deliberately mixes floating-point accumulation (where
-//! reduction order would show up immediately as differing low bits) with
-//! trial-local RNG draws (where seed reuse would show up as duplicated
-//! samples).
+//! The workload deliberately mixes floating-point accumulation (where a
+//! schedule-dependent result order would show up immediately as differing
+//! low bits in a caller's fold) with trial-local RNG draws (where seed reuse
+//! would show up as duplicated samples).
 
-use llc_fleet::{trial_seed, Aggregate, Counts, Fleet, Samples, Summary};
+use llc_fleet::{trial_seed, Fleet};
 use rand::Rng;
 use std::collections::HashSet;
 
@@ -22,43 +23,55 @@ fn noisy_trial(ctx: llc_fleet::TrialCtx) -> f64 {
     acc
 }
 
-fn summary_at(threads: usize, trials: usize, master: u64) -> Summary {
-    Samples::from_trials(Fleet::new(threads).with_chunk(3).run(trials, master, noisy_trial))
-        .summary()
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Mean, sample σ and median of the trial-ordered results, folded serially
+/// the way a caller (e.g. table6) folds them, as raw bit patterns.
+fn fold_at(threads: usize, trials: usize, master: u64) -> [u64; 3] {
+    let xs = Fleet::new(threads).with_chunk(3).run(trials, master, noisy_trial);
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let std = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
+    let mut sorted = xs;
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[sorted.len() / 2];
+    [mean.to_bits(), std.to_bits(), median.to_bits()]
 }
 
 #[test]
 fn aggregates_bit_identical_at_1_2_and_8_threads() {
     for master in [0u64, 1, 0xdead_beef, u64::MAX] {
-        let s1 = summary_at(1, 257, master);
-        let s2 = summary_at(2, 257, master);
-        let s8 = summary_at(8, 257, master);
-        // Summary derives PartialEq over f64 fields: exact bit comparison of
-        // finite values, which is precisely the guarantee under test.
-        assert_eq!(s1, s2, "2-thread aggregate diverged for master {master:#x}");
-        assert_eq!(s1, s8, "8-thread aggregate diverged for master {master:#x}");
+        let s1 = fold_at(1, 257, master);
+        assert_eq!(s1, fold_at(2, 257, master), "2-thread fold diverged for master {master:#x}");
+        assert_eq!(s1, fold_at(8, 257, master), "8-thread fold diverged for master {master:#x}");
     }
 }
 
 #[test]
 fn ordered_results_bit_identical_at_1_2_and_8_threads() {
-    let r1 = Fleet::new(1).run(100, 42, noisy_trial);
-    let r2 = Fleet::new(2).with_chunk(1).run(100, 42, noisy_trial);
-    let r8 = Fleet::new(8).with_chunk(7).run(100, 42, noisy_trial);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&r1), bits(&r2));
-    assert_eq!(bits(&r1), bits(&r8));
+    for master in [0u64, 1, 42, 0xdead_beef, u64::MAX] {
+        let serial = bits(&Fleet::new(1).run(257, master, noisy_trial));
+        for (threads, chunk) in [(2, 1), (2, 3), (8, 3), (8, 7)] {
+            let sharded = Fleet::new(threads).with_chunk(chunk).run(257, master, noisy_trial);
+            assert_eq!(
+                serial,
+                bits(&sharded),
+                "{threads} threads, chunk {chunk} diverged for master {master:#x}"
+            );
+        }
+    }
 }
 
 #[test]
 fn counts_bit_identical_across_thread_counts() {
-    let count_at = |threads: usize| -> Counts {
-        Counts::from_trials(
-            Fleet::new(threads).run(1000, 7, |ctx| ctx.rng().gen_range(0..100u32) < 37),
-        )
+    let count_at = |threads: usize| {
+        let hits = Fleet::new(threads).run(1000, 7, |ctx| ctx.rng().gen_range(0..100u32) < 37);
+        assert_eq!(hits.len(), 1000);
+        hits.iter().filter(|&&hit| hit).count()
     };
     let c1 = count_at(1);
-    assert_eq!(c1.total, 1000);
     assert_eq!(c1, count_at(2));
     assert_eq!(c1, count_at(8));
 }
@@ -102,6 +115,5 @@ fn worker_local_state_does_not_leak_into_results() {
             scratch[0]
         },
     );
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&stateless), bits(&stateful));
 }

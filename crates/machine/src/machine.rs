@@ -8,7 +8,7 @@
 //! side effect of simulated time advancing.
 
 use crate::latency::LatencyModel;
-use crate::noise::{NoiseConfig, NoiseFidelity, NoiseModel, NoiseProcess};
+use crate::noise::{NoiseFidelity, NoiseModel, NoiseProcess};
 use crate::schedule::{VictimProgram, VictimSchedule};
 use crate::tenant::{HostSim, TenantBurst, TenantPopulation};
 use llc_cache_model::{
@@ -48,7 +48,8 @@ pub struct MachineStats {
 #[derive(Debug)]
 pub struct MachineBuilder {
     spec: CacheSpec,
-    noise: NoiseConfig,
+    noise: NoiseModel,
+    fidelity: NoiseFidelity,
     latency: LatencyModel,
     hierarchy_options: HierarchyOptions,
     tenants: TenantPopulation,
@@ -60,7 +61,8 @@ impl MachineBuilder {
     pub fn new(spec: CacheSpec) -> Self {
         Self {
             spec,
-            noise: NoiseConfig::exact(NoiseModel::quiescent_local()),
+            noise: NoiseModel::quiescent_local(),
+            fidelity: NoiseFidelity::Exact,
             latency: LatencyModel::default(),
             hierarchy_options: HierarchyOptions::default(),
             tenants: TenantPopulation::empty(),
@@ -69,16 +71,9 @@ impl MachineBuilder {
     }
 
     /// Sets the background-noise model (e.g. [`NoiseModel::cloud_run`]),
-    /// keeping the configured fidelity and first-touch semantics.
+    /// keeping the configured fidelity.
     pub fn noise(mut self, noise: NoiseModel) -> Self {
-        self.noise.model = noise;
-        self
-    }
-
-    /// Sets the complete noise configuration (model, fidelity, first-touch
-    /// semantics) in one call.
-    pub fn noise_config(mut self, config: NoiseConfig) -> Self {
-        self.noise = config;
+        self.noise = noise;
         self
     }
 
@@ -87,7 +82,7 @@ impl MachineBuilder {
     /// applies bulk per-sync transitions, statistically equivalent and
     /// several times faster under heavy noise).
     pub fn noise_fidelity(mut self, fidelity: NoiseFidelity) -> Self {
-        self.noise.fidelity = fidelity;
+        self.fidelity = fidelity;
         self
     }
 
@@ -130,7 +125,7 @@ impl MachineBuilder {
         let num_slices = self.spec.llc.num_slices();
         let mut hierarchy = Hierarchy::new(self.spec.clone(), self.seed);
         hierarchy.set_options(self.hierarchy_options);
-        let mut noise = NoiseProcess::with_config(self.noise, sets_per_slice, num_slices);
+        let mut noise = NoiseProcess::new(self.noise, self.fidelity, sets_per_slice, num_slices);
         // The reuse predictor forces `Hierarchy::noise_advance_bulk` onto
         // per-event dispatch, so an Aggregate configuration effectively runs
         // Exact; record that so reports can label the run truthfully.

@@ -142,72 +142,6 @@ impl NoiseFidelity {
     }
 }
 
-/// What a set's first observation assumes about its unobserved pre-history.
-///
-/// The noise process only tracks sets lazily: a set that has never been
-/// touched has no synchronisation timestamp, so its first `catch_up` must
-/// pick an effective "last sync". Both variants apply identically to both
-/// fidelities (the window computation is shared), so switching fidelity never
-/// changes first-touch semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum InitialSync {
-    /// Treat `now` as the sync point: the first observation of a set sees no
-    /// pre-history noise at all. This is the historical (and default)
-    /// behaviour — experiments prime every set they care about anyway, and an
-    /// arbitrarily long simulated pre-history must not produce an arbitrary
-    /// burst on first touch.
-    #[default]
-    TreatAsSynced,
-    /// Behave as if the set was last synchronised `gap` cycles before its
-    /// first observation (saturating at cycle 0), i.e. the first catch-up
-    /// replays up to `gap` cycles of pre-history noise. Models a host that
-    /// was already busy before the attacker arrived.
-    Warmup(u64),
-}
-
-/// Complete configuration of the background-noise process: the rate model
-/// plus the two behavioural knobs ([`NoiseFidelity`], [`InitialSync`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoiseConfig {
-    /// The Poisson rate model.
-    pub model: NoiseModel,
-    /// Exact per-event replay or aggregate bulk transitions.
-    pub fidelity: NoiseFidelity,
-    /// What the first observation of a set assumes about its pre-history.
-    pub initial_sync: InitialSync,
-}
-
-impl NoiseConfig {
-    /// Exact-fidelity configuration with default first-touch semantics
-    /// (the historical behaviour of `NoiseProcess::new`).
-    pub fn exact(model: NoiseModel) -> Self {
-        Self { model, fidelity: NoiseFidelity::Exact, initial_sync: InitialSync::default() }
-    }
-
-    /// Aggregate-fidelity configuration with default first-touch semantics.
-    pub fn aggregate(model: NoiseModel) -> Self {
-        Self { model, fidelity: NoiseFidelity::Aggregate, initial_sync: InitialSync::default() }
-    }
-
-    /// Returns the configuration with `fidelity` substituted.
-    pub fn with_fidelity(mut self, fidelity: NoiseFidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// Returns the configuration with `initial_sync` substituted.
-    pub fn with_initial_sync(mut self, initial_sync: InitialSync) -> Self {
-        self.initial_sync = initial_sync;
-        self
-    }
-}
-
-impl From<NoiseModel> for NoiseConfig {
-    fn from(model: NoiseModel) -> Self {
-        Self::exact(model)
-    }
-}
-
 /// Result of an aggregate-fidelity catch-up: how many background insertions
 /// each shared structure absorbs for the elapsed gap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -251,8 +185,6 @@ pub struct NoiseProcess {
     model: NoiseModel,
     /// Exact per-event replay or aggregate bulk transitions.
     fidelity: NoiseFidelity,
-    /// First-touch semantics shared by both fidelities.
-    initial_sync: InitialSync,
     /// Last cycle at which each set was synchronised with the noise process,
     /// indexed by `slice * sets_per_slice + set`; [`NEVER_SYNCED`] marks a
     /// set that has not been observed yet. Pre-sized to cover every set of
@@ -284,7 +216,6 @@ impl Clone for NoiseProcess {
         Self {
             model: self.model.clone(),
             fidelity: self.fidelity,
-            initial_sync: self.initial_sync,
             last_sync: self.last_sync.clone(),
             sets_per_slice: self.sets_per_slice,
             max_burst: self.max_burst,
@@ -307,24 +238,22 @@ pub struct NoiseEvent {
 }
 
 impl NoiseProcess {
-    /// Creates a noise process for `model`, flattening `(slice, set)`
-    /// locations over `sets_per_slice` sets per slice across `num_slices`
-    /// slices (the LLC/SF slice geometry of the simulated host). The
-    /// synchronisation vector is sized for the whole geometry up front so
+    /// Creates a noise process for `model` at `fidelity`, flattening
+    /// `(slice, set)` locations over `sets_per_slice` sets per slice across
+    /// `num_slices` slices (the LLC/SF slice geometry of the simulated host).
+    /// The synchronisation vector is sized for the whole geometry up front so
     /// the per-access hot path never grows it.
-    pub fn new(model: NoiseModel, sets_per_slice: usize, num_slices: usize) -> Self {
-        Self::with_config(NoiseConfig::exact(model), sets_per_slice, num_slices)
-    }
-
-    /// [`NoiseProcess::new`] with explicit fidelity and first-touch
-    /// semantics.
-    pub fn with_config(config: NoiseConfig, sets_per_slice: usize, num_slices: usize) -> Self {
+    pub fn new(
+        model: NoiseModel,
+        fidelity: NoiseFidelity,
+        sets_per_slice: usize,
+        num_slices: usize,
+    ) -> Self {
         assert!(sets_per_slice > 0, "sets_per_slice must be non-zero");
         assert!(num_slices > 0, "num_slices must be non-zero");
         Self {
-            model: config.model,
-            fidelity: config.fidelity,
-            initial_sync: config.initial_sync,
+            model,
+            fidelity,
             last_sync: vec![NEVER_SYNCED; sets_per_slice * num_slices],
             sets_per_slice,
             max_burst: 96,
@@ -343,11 +272,6 @@ impl NoiseProcess {
     /// [`NoiseProcess::catch_up_aggregate`] for aggregate.
     pub fn fidelity(&self) -> NoiseFidelity {
         self.fidelity
-    }
-
-    /// The configured first-touch semantics.
-    pub fn initial_sync(&self) -> InitialSync {
-        self.initial_sync
     }
 
     /// Records whether the consuming hierarchy degrades aggregate advances
@@ -394,7 +318,6 @@ impl NoiseProcess {
     pub fn restore_from(&mut self, source: &NoiseProcess) {
         self.model.clone_from(&source.model);
         self.fidelity = source.fidelity;
-        self.initial_sync = source.initial_sync;
         self.last_sync.clone_from(&source.last_sync);
         self.sets_per_slice = source.sets_per_slice;
         self.max_burst = source.max_burst;
@@ -454,22 +377,16 @@ impl NoiseProcess {
     }
 
     /// Resolves the catch-up window for `loc` ending at `now` and marks the
-    /// set synchronised: returns `(effective last sync, gap)`. First
-    /// observations resolve through [`InitialSync`]; this helper is the
-    /// single place that does so, which is what keeps first-touch semantics
-    /// identical across the two fidelities.
+    /// set synchronised: returns `(effective last sync, gap)`. A set's first
+    /// observation treats `now` as its last sync, so it sees no pre-history
+    /// noise: experiments prime every set they care about anyway, and an
+    /// arbitrarily long simulated pre-history must not produce an arbitrary
+    /// burst on first touch. Both fidelities resolve their window here, so
+    /// first-touch semantics are identical across them.
     #[inline]
     fn advance_window(&mut self, loc: SetLocation, now: u64) -> (u64, u64) {
-        let initial_sync = self.initial_sync;
         let slot = self.sync_slot(loc);
-        let last = if *slot == NEVER_SYNCED {
-            match initial_sync {
-                InitialSync::TreatAsSynced => now,
-                InitialSync::Warmup(gap) => now.saturating_sub(gap),
-            }
-        } else {
-            *slot
-        };
+        let last = if *slot == NEVER_SYNCED { now } else { *slot };
         *slot = now;
         (last, now.saturating_sub(last))
     }
@@ -527,22 +444,10 @@ impl NoiseProcess {
 
     /// Marks a set as synchronised at `now` without generating events.
     ///
-    /// Used when a set is first observed so that an arbitrarily long
-    /// pre-history does not produce a burst on first touch (under the
-    /// default [`InitialSync::TreatAsSynced`] this happens automatically).
+    /// Used to start a set's noise clock at a chosen cycle rather than at
+    /// its first catch-up (which treats its own `now` as the sync point).
     pub fn mark_synced(&mut self, loc: SetLocation, now: u64) {
         *self.sync_slot(loc) = now;
-    }
-
-    /// Samples the waiting time (in cycles) until the next background access
-    /// to a single set. Used by experiment harnesses that need explicit
-    /// inter-arrival samples (Figure 2).
-    pub fn sample_interarrival(&self, rng: &mut impl Rng) -> u64 {
-        if self.model.is_silent() {
-            return u64::MAX;
-        }
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        (-u.ln() / self.model.accesses_per_cycle_per_set).round() as u64
     }
 }
 
@@ -591,7 +496,7 @@ mod tests {
 
     #[test]
     fn silent_noise_produces_no_events() {
-        let mut p = NoiseProcess::new(NoiseModel::silent(), 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Exact, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(0);
         let loc = SetLocation::new(0, 0);
         p.mark_synced(loc, 0);
@@ -600,7 +505,7 @@ mod tests {
 
     #[test]
     fn catch_up_mean_matches_rate() {
-        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(7);
         let loc = SetLocation::new(1, 5);
         // 1 ms at 2 GHz = 2e6 cycles -> expect ~11.5 events per window.
@@ -618,18 +523,17 @@ mod tests {
 
     #[test]
     fn first_touch_does_not_burst() {
-        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(3);
-        // Never marked synced: under the default InitialSync::TreatAsSynced
-        // the first catch_up treats `now` as the sync point (opt into
-        // pre-history replay with InitialSync::Warmup).
+        // Never marked synced: the first catch_up treats `now` as the sync
+        // point.
         let events = p.catch_up(SetLocation::new(0, 3), 10_000_000_000, &mut rng);
         assert!(events.is_empty());
     }
 
     #[test]
     fn events_are_sorted_and_in_window() {
-        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(11);
         let loc = SetLocation::new(2, 9);
         p.mark_synced(loc, 1000);
@@ -652,7 +556,7 @@ mod tests {
     /// revisited together.
     #[test]
     fn capped_burst_thins_uniformly_over_the_whole_gap() {
-        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(17);
         let loc = SetLocation::new(1, 7);
         p.mark_synced(loc, 0);
@@ -680,8 +584,8 @@ mod tests {
     /// reusing one process across calls leaves no stale events behind.
     #[test]
     fn scratch_reuse_is_stream_transparent() {
-        let mut a = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
-        let mut b = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
+        let mut a = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
+        let mut b = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
         let mut rng_a = SmallRng::seed_from_u64(23);
         let mut rng_b = SmallRng::seed_from_u64(23);
         let loc = SetLocation::new(0, 42);
@@ -701,67 +605,29 @@ mod tests {
         assert!(lens.windows(2).any(|w| w[1] < w[0]) && lens.windows(2).any(|w| w[1] > w[0]));
     }
 
-    /// Regression pin for the former first-sync blind spot: the first-touch
-    /// semantics are now an explicit [`InitialSync`] knob resolved in one
-    /// shared helper, so they are identical across fidelities by
-    /// construction — and pinned here. `TreatAsSynced` (the default) sees no
-    /// pre-history in either mode; `Warmup(gap)` replays exactly `gap`
-    /// cycles of pre-history in either mode.
+    /// Both fidelities resolve a set's first observation in one shared
+    /// helper: a first touch sees no pre-history in either mode, and the
+    /// window that follows it carries noise in both.
     #[test]
     fn initial_sync_semantics_are_identical_across_fidelities() {
         let loc = SetLocation::new(0, 3);
-        // TreatAsSynced: no burst on first touch, both fidelities.
-        let mut exact = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
-        let mut agg = NoiseProcess::with_config(
-            NoiseConfig::aggregate(NoiseModel::cloud_run()),
-            2048,
-            8,
-        );
+        let mut exact = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 2048, 8);
+        let mut agg = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(exact.catch_up(loc, 10_000_000_000, &mut rng).is_empty());
-        assert!(agg.catch_up_aggregate(loc, 10_000_000_000, &mut rng).is_empty());
-
-        // Warmup(gap): the first catch-up covers exactly `gap` cycles. A
-        // 2 ms warm-up at Cloud Run rate means ~23 expected insertions —
-        // far beyond zero in both modes.
-        let warm = InitialSync::Warmup(4_000_000);
-        let mut exact = NoiseProcess::with_config(
-            NoiseConfig::exact(NoiseModel::cloud_run()).with_initial_sync(warm),
-            2048,
-            8,
-        );
-        let mut agg = NoiseProcess::with_config(
-            NoiseConfig::aggregate(NoiseModel::cloud_run()).with_initial_sync(warm),
-            2048,
-            8,
-        );
         let now = 10_000_000_000;
-        let events = exact.catch_up(loc, now, &mut rng).to_vec();
-        assert!(!events.is_empty(), "warm-up must replay pre-history noise");
-        for e in &events {
-            assert!(e.at >= now - 4_000_000 && e.at < now, "events confined to the warm-up gap");
-        }
-        let adv = agg.catch_up_aggregate(loc, now, &mut rng);
-        assert!(adv.total() > 0, "warm-up must replay pre-history in aggregate mode too");
-        // Both are now synced: an immediate re-observation is a no-op.
         assert!(exact.catch_up(loc, now, &mut rng).is_empty());
         assert!(agg.catch_up_aggregate(loc, now, &mut rng).is_empty());
-    }
 
-    /// Warm-up near cycle 0 must saturate instead of underflowing.
-    #[test]
-    fn warmup_saturates_at_time_zero() {
-        let warm = InitialSync::Warmup(u64::MAX);
-        let mut p = NoiseProcess::with_config(
-            NoiseConfig::exact(NoiseModel::cloud_run()).with_initial_sync(warm),
-            64,
-            2,
-        );
-        let mut rng = SmallRng::seed_from_u64(9);
-        let events = p.catch_up(SetLocation::new(0, 0), 1_000, &mut rng).to_vec();
+        // A 2 ms window after first touch: ~23 expected insertions at the
+        // Cloud Run rate, far beyond zero in both modes.
+        let later = now + 4_000_000;
+        let events = exact.catch_up(loc, later, &mut rng).to_vec();
+        assert!(!events.is_empty(), "the window after first touch must carry noise");
         for e in &events {
-            assert!(e.at < 1_000);
+            assert!(e.at >= now && e.at < later, "events confined to the window");
         }
+        let adv = agg.catch_up_aggregate(loc, later, &mut rng);
+        assert!(adv.total() > 0, "the window after first touch must carry noise in aggregate mode");
     }
 
     /// Zero-gap and silent aggregate syncs must not consume randomness, so
@@ -769,16 +635,8 @@ mod tests {
     #[test]
     fn aggregate_noop_syncs_consume_no_randomness() {
         let loc = SetLocation::new(1, 1);
-        let mut silent = NoiseProcess::with_config(
-            NoiseConfig::aggregate(NoiseModel::silent()),
-            2048,
-            8,
-        );
-        let mut p = NoiseProcess::with_config(
-            NoiseConfig::aggregate(NoiseModel::cloud_run()),
-            2048,
-            8,
-        );
+        let mut silent = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Aggregate, 2048, 8);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(21);
         let mut probe = SmallRng::seed_from_u64(21);
         assert!(silent.catch_up_aggregate(loc, 5_000_000, &mut rng).is_empty());
@@ -793,11 +651,7 @@ mod tests {
     /// shared split: E[llc] = λp·dt, E[sf] = λ(1−p)·dt.
     #[test]
     fn aggregate_counts_match_rate_and_split() {
-        let mut p = NoiseProcess::with_config(
-            NoiseConfig::aggregate(NoiseModel::cloud_run()),
-            2048,
-            8,
-        );
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 2048, 8);
         let mut rng = SmallRng::seed_from_u64(31);
         let loc = SetLocation::new(1, 5);
         p.mark_synced(loc, 0);
@@ -825,20 +679,17 @@ mod tests {
         assert_eq!(NoiseFidelity::parse("bogus"), None);
     }
 
-    /// Config round-trip through clone + restore_from: the new fields are
-    /// machine-snapshot state and must survive both paths.
+    /// Config round-trip through clone + restore_from: the fidelity and the
+    /// model are machine-snapshot state and must survive both paths.
     #[test]
     fn clone_and_restore_carry_fidelity_and_initial_sync() {
-        let cfg = NoiseConfig::aggregate(NoiseModel::cloud_run())
-            .with_initial_sync(InitialSync::Warmup(1234));
-        let p = NoiseProcess::with_config(cfg, 64, 2);
+        let p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 64, 2);
         let c = p.clone();
         assert_eq!(c.fidelity(), NoiseFidelity::Aggregate);
-        assert_eq!(c.initial_sync(), InitialSync::Warmup(1234));
-        let mut q = NoiseProcess::new(NoiseModel::silent(), 64, 2);
+        assert_eq!(c.model(), p.model());
+        let mut q = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Exact, 64, 2);
         q.restore_from(&p);
         assert_eq!(q.fidelity(), NoiseFidelity::Aggregate);
-        assert_eq!(q.initial_sync(), InitialSync::Warmup(1234));
         assert_eq!(q.model(), p.model());
     }
 
@@ -848,8 +699,7 @@ mod tests {
     /// truthfully.
     #[test]
     fn effective_fidelity_reports_per_event_fallback() {
-        let cfg = NoiseConfig::aggregate(NoiseModel::cloud_run());
-        let mut p = NoiseProcess::with_config(cfg, 64, 2);
+        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 64, 2);
         assert_eq!(p.effective_fidelity(), NoiseFidelity::Aggregate);
         p.set_per_event_fallback(true);
         assert_eq!(p.fidelity(), NoiseFidelity::Aggregate, "configured fidelity is unchanged");
@@ -857,11 +707,11 @@ mod tests {
 
         let c = p.clone();
         assert_eq!(c.effective_fidelity(), NoiseFidelity::Exact);
-        let mut q = NoiseProcess::new(NoiseModel::silent(), 64, 2);
+        let mut q = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Exact, 64, 2);
         q.restore_from(&p);
         assert_eq!(q.effective_fidelity(), NoiseFidelity::Exact);
 
-        let mut exact = NoiseProcess::new(NoiseModel::cloud_run(), 64, 2);
+        let mut exact = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 64, 2);
         exact.set_per_event_fallback(true);
         assert_eq!(exact.effective_fidelity(), NoiseFidelity::Exact);
     }
@@ -878,16 +728,5 @@ mod tests {
                 "lambda {lambda}: mean {mean}"
             );
         }
-    }
-
-    #[test]
-    fn interarrival_mean_is_inverse_rate() {
-        let p = NoiseProcess::new(NoiseModel::cloud_run(), 2048, 8);
-        let mut rng = SmallRng::seed_from_u64(13);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| p.sample_interarrival(&mut rng) as f64).sum();
-        let mean = total / n as f64;
-        let expected = 1.0 / NoiseModel::cloud_run().accesses_per_cycle_per_set;
-        assert!((mean - expected).abs() / expected < 0.05, "mean {mean} vs {expected}");
     }
 }

@@ -591,11 +591,15 @@ mod tests {
 
     /// A `tiny_test` host running `population`, placed by `reseed_tenants(42, 0)`.
     fn tiny_host(population: TenantPopulation) -> HostSim {
-        use crate::noise::NoiseModel;
+        use crate::noise::{NoiseFidelity, NoiseModel};
         let hierarchy = Hierarchy::new(llc_cache_model::CacheSpec::tiny_test(), 1);
         let geometry = hierarchy.shared_geometry();
-        let noise =
-            NoiseProcess::new(NoiseModel::silent(), geometry.sets_per_slice, geometry.slices);
+        let noise = NoiseProcess::new(
+            NoiseModel::silent(),
+            NoiseFidelity::Exact,
+            geometry.sets_per_slice,
+            geometry.slices,
+        );
         let mut host = HostSim::new(hierarchy, noise, population);
         host.reseed_tenants(42, 0);
         host

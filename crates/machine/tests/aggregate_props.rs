@@ -4,8 +4,8 @@
 //! fleet thread count.
 
 use llc_cache_model::{CacheSpec, SetLocation, VirtAddr};
-use llc_fleet::{Aggregate, Fleet, Samples};
-use llc_machine::{Machine, NoiseAdvance, NoiseConfig, NoiseModel, NoiseProcess};
+use llc_fleet::Fleet;
+use llc_machine::{Machine, NoiseAdvance, NoiseFidelity, NoiseModel, NoiseProcess};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,8 +21,7 @@ proptest! {
         times in prop::collection::vec(0u64..1_000_000_000, 1..24),
         set in 0usize..4,
     ) {
-        let mut process =
-            NoiseProcess::with_config(NoiseConfig::aggregate(NoiseModel::silent()), 4, 2);
+        let mut process = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Aggregate, 4, 2);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut times = times;
         times.sort_unstable();
@@ -42,10 +41,10 @@ proptest! {
         set in 0usize..4,
     ) {
         let mut process =
-            NoiseProcess::with_config(NoiseConfig::aggregate(NoiseModel::cloud_run()), 4, 2);
+            NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 4, 2);
         let mut rng = SmallRng::seed_from_u64(seed);
         let loc = SetLocation::new(0, set);
-        // First observation under TreatAsSynced is itself a zero window.
+        // A first observation is itself a zero window.
         for _ in 0..=repeats {
             let advance = process.catch_up_aggregate(loc, now, &mut rng);
             prop_assert_eq!(advance, NoiseAdvance::NONE);
@@ -60,7 +59,8 @@ proptest! {
         gaps in prop::collection::vec(1u64..4_000_000, 1..12),
     ) {
         let mut machine = Machine::builder(CacheSpec::tiny_test())
-            .noise_config(NoiseConfig::aggregate(NoiseModel::silent()))
+            .noise(NoiseModel::silent())
+            .noise_fidelity(NoiseFidelity::Aggregate)
             .seed(seed)
             .build();
         let va = machine.alloc_attacker_pages(1);
@@ -75,13 +75,15 @@ proptest! {
     }
 
     /// Aggregate-mode fleet workloads are bit-identical across thread
-    /// counts: the per-trial seeds fully determine every machine's noise.
+    /// counts: the per-trial seeds fully determine every machine's noise, and
+    /// the fleet returns each trial's total in trial order.
     #[test]
     fn aggregate_fleet_results_are_thread_invariant(master in any::<u64>()) {
-        let workload = |threads: usize| -> Samples {
-            Samples::from_trials(Fleet::new(threads).with_chunk(1).run(8, master, |ctx| {
+        let workload = |threads: usize| -> Vec<u64> {
+            Fleet::new(threads).with_chunk(1).run(8, master, |ctx| {
                 let mut machine = Machine::builder(CacheSpec::tiny_test())
-                    .noise_config(NoiseConfig::aggregate(NoiseModel::cloud_run()))
+                    .noise(NoiseModel::cloud_run())
+                    .noise_fidelity(NoiseFidelity::Aggregate)
                     .seed(ctx.seed)
                     .build();
                 let base = machine.alloc_attacker_pages(2);
@@ -94,12 +96,10 @@ proptest! {
                     machine.idle(1_500_000);
                     total += machine.timed_access(va).0;
                 }
-                total as f64
-            }))
+                total
+            })
         };
-        let serial = workload(1);
-        let threaded = workload(3);
-        prop_assert_eq!(serial.summary(), threaded.summary());
+        prop_assert_eq!(workload(1), workload(3));
     }
 }
 
@@ -107,8 +107,7 @@ proptest! {
 /// real windows have elapsed (not only on first observation).
 #[test]
 fn zero_gap_after_real_windows_is_still_a_noop() {
-    let mut process =
-        NoiseProcess::with_config(NoiseConfig::aggregate(NoiseModel::cloud_run()), 4, 2);
+    let mut process = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 4, 2);
     let mut rng = SmallRng::seed_from_u64(7);
     let loc = SetLocation::new(1, 2);
     process.catch_up_aggregate(loc, 0, &mut rng);

@@ -22,7 +22,7 @@
 
 use llc_cache_model::{CacheSpec, HitLevel};
 use llc_fleet::stats::{compare_means, compare_rates, ecdf_distance, ks_threshold, KS_ALPHA_001};
-use llc_machine::{Machine, NoiseConfig, NoiseFidelity, NoiseModel};
+use llc_machine::{Machine, NoiseFidelity, NoiseModel};
 
 /// Master seed for the equivalence suite (`LLC_EQUIV_SEED` to override).
 fn equiv_seed() -> u64 {
@@ -56,7 +56,8 @@ fn run_probe_trials(
     trials: usize,
 ) -> ProbeSample {
     let mut machine = Machine::builder(CacheSpec::tiny_test())
-        .noise_config(NoiseConfig::exact(model).with_fidelity(fidelity))
+        .noise(model)
+        .noise_fidelity(fidelity)
         .seed(equiv_seed())
         .build();
     // Eight probe lines on distinct pages: different LLC/SF sets, so the

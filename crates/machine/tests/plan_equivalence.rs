@@ -11,7 +11,7 @@
 //! counters, and the downstream timed-access stream, which is sensitive to
 //! the full hierarchy + RNG state) to stay bit-identical.
 
-use llc_machine::{Machine, NoiseEvent, NoiseModel, NoiseProcess, sample_poisson};
+use llc_machine::{Machine, NoiseEvent, NoiseFidelity, NoiseModel, NoiseProcess, sample_poisson};
 use llc_cache_model::{CacheSpec, SetLocation, VirtAddr};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -100,7 +100,7 @@ proptest! {
         gaps in prop::collection::vec(1u64..40_000_000, 1..24),
     ) {
         let model = NoiseModel::cloud_run();
-        let mut process = NoiseProcess::new(model.clone(), 64, 2);
+        let mut process = NoiseProcess::new(model.clone(), NoiseFidelity::Exact, 64, 2);
         let mut rng_new = SmallRng::seed_from_u64(seed);
         let mut rng_old = SmallRng::seed_from_u64(seed);
         let loc = SetLocation::new(1, 7);
