@@ -8,20 +8,21 @@ use crate::sweeps::{PruningSweep, SweepCell};
 use crate::SampleStats;
 use llc_campaign::{TrialOutcome, TrialSource};
 use llc_core::{
-    decode_bits, decode_bits_soft, score_extraction, Algorithm, AttackConfig, AttackReport,
-    BoundaryClassifier, ClassifierTrainingConfig, EndToEndAttack, ExtractionConfig, FeatureConfig,
-    RecoveryConfig, ScanConfig, TraceClassifier,
+    capture_signing_run, covered_signings, score_extraction, Algorithm, AttackConfig,
+    AttackReport, BoundaryClassifier, ClassifierTrainingConfig, EndToEndAttack, ExtractionConfig,
+    FeatureConfig, RecoveryConfig, ScanConfig, TraceClassifier,
 };
-use llc_ecdsa_victim::{EcdsaVictim, EcdsaVictimConfig, Scalar};
+use llc_ecdsa_victim::{EcdsaVictim, EcdsaVictimConfig};
 use llc_evsets::{
-    oracle, test_eviction, CandidateSet, EvictionSet, EvsetError, TargetCache, TraversalOrder,
+    oracle, test_eviction, CandidateSet, EvictionSet, EvsetConfig, EvsetError, TargetCache,
+    TraversalOrder,
 };
 use llc_fleet::{stream_seed, Fleet};
 use llc_machine::{Machine, NoiseFidelity, NoiseModel, TenantPopulation};
 use llc_probe::{
     run_covert_channel, AccessTrace, CovertChannelConfig, Monitor, MonitorStats, Strategy,
 };
-use llc_recovery::{attempt_signature, CampaignConfig, SearchConfig, SignatureObservation};
+use llc_recovery::{run_campaign, CampaignConfig, CampaignReport, SearchConfig};
 use llc_sigproc::{welch_psd, BinnedTrace, PowerSpectrum, WelchConfig};
 use llc_cache_model::{CacheSpec, HierarchyOptions, VirtAddr};
 use llc_machine::{AesTTableConfig, AesTTableVictim};
@@ -560,7 +561,7 @@ pub fn measure_identification(
             let pool = CandidateSet::allocate(
                 machine,
                 layout.target_page_offset(),
-                spec.sf.uncertainty() * spec.sf.ways() * 3,
+                EvsetConfig::default().candidate_count(spec, TargetCache::Sf),
                 &mut rng,
             );
             let groups = oracle::group_by_location(machine, pool.addresses());
@@ -660,20 +661,16 @@ pub fn measure_psd_example(
     let pool = CandidateSet::allocate(
         &mut machine,
         layout.target_page_offset(),
-        spec.sf.uncertainty() * spec.sf.ways() * 3,
+        EvsetConfig::default().candidate_count(spec, TargetCache::Sf),
         &mut rng,
     );
-    let groups = oracle::group_by_location(&machine, pool.addresses());
-    let ways = spec.sf.ways();
-    let target_members = groups
-        .iter()
-        .find(|(loc, m)| **loc == target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    let target_set = oracle::sf_eviction_set(&machine, target_loc, pool.addresses())
         .expect("candidate pool covers the target set");
-    let other_members = groups
-        .iter()
-        .find(|(loc, m)| **loc != target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    // The non-target set is the lowest other location the pool covers.
+    let other_set = oracle::group_by_location(&machine, pool.addresses())
+        .into_keys()
+        .filter(|&loc| loc != target_loc)
+        .find_map(|loc| oracle::sf_eviction_set(&machine, loc, pool.addresses()))
         .expect("candidate pool covers another set");
 
     let feature_cfg = FeatureConfig {
@@ -682,10 +679,8 @@ pub fn measure_psd_example(
         ..FeatureConfig::default()
     };
 
-    let collect = |machine: &mut Machine, members: &[VirtAddr]| -> (AccessTrace, PowerSpectrum) {
-        let set = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
-        let mut monitor = Monitor::new(Strategy::Parallel, set);
-        let trace = monitor.collect(machine, trace_cycles);
+    let collect = |machine: &mut Machine, set: EvictionSet| -> (AccessTrace, PowerSpectrum) {
+        let trace = Monitor::new(Strategy::Parallel, set).collect(machine, trace_cycles);
         let binned = BinnedTrace::from_timestamps(
             &trace.timestamps,
             trace.start,
@@ -702,8 +697,8 @@ pub fn measure_psd_example(
 
     // Wait until the victim is in the middle of its ladder before sampling.
     machine.idle(victim_cfg_pre_estimate());
-    let (target_trace, target_psd) = collect(&mut machine, &target_members);
-    let (other_trace, other_psd) = collect(&mut machine, &other_members);
+    let (target_trace, target_psd) = collect(&mut machine, target_set);
+    let (other_trace, other_psd) = collect(&mut machine, other_set);
     PsdComparison {
         target_trace,
         other_trace,
@@ -756,7 +751,6 @@ pub fn measure_extraction_example(
         post_cycles: 200_000,
         ..EcdsaVictimConfig::default()
     };
-    let iteration_cycles = victim_cfg.iteration_cycles;
     let (victim, handle) = EcdsaVictim::new(victim_cfg.clone());
     machine.install_victim(Box::new(victim), true, 100_000);
     let layout = handle.lock().expect("log").layout.clone().expect("layout");
@@ -765,65 +759,36 @@ pub fn measure_extraction_example(
     let pool = CandidateSet::allocate(
         &mut machine,
         layout.target_page_offset(),
-        spec.sf.uncertainty() * spec.sf.ways() * 3,
+        EvsetConfig::default().candidate_count(spec, TargetCache::Sf),
         &mut rng,
     );
-    let groups = oracle::group_by_location(&machine, pool.addresses());
-    let ways = spec.sf.ways();
-    let members = groups
-        .iter()
-        .find(|(loc, m)| **loc == target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    let set = oracle::sf_eviction_set(&machine, target_loc, pool.addresses())
         .expect("pool covers the target set");
-    let set = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
 
     // Monitor across three runs: one for training the boundary classifier,
     // the rest for decoding.
-    let run_cycles = victim_cfg.pre_cycles
-        + victim_cfg.post_cycles
-        + nonce_bits as u64 * iteration_cycles
-        + 100_000;
+    let run_cycles = victim_cfg.request_cycles() + 100_000;
     let runs_before = machine.victim_runs() as usize;
-    let mut monitor = Monitor::new(Strategy::Parallel, set);
-    let trace = monitor.collect(&mut machine, run_cycles * 3);
-
-    let log = handle.lock().expect("log");
-    let run_starts = machine.victim_run_starts().to_vec();
-    let runs: Vec<(u64, &llc_ecdsa_victim::RunGroundTruth)> = run_starts
-        .iter()
-        .copied()
-        .zip(log.runs.iter())
-        .skip(runs_before)
-        .filter(|(start, run)| *start >= trace.start && start + run.duration <= trace.end)
-        .collect();
-    assert!(runs.len() >= 2, "monitoring window must cover at least two signings");
-
-    let extraction = ExtractionConfig { iteration_cycles, ..ExtractionConfig::default() };
-    let slice = |start: u64, end: u64| AccessTrace {
-        start,
-        end,
-        timestamps: trace.timestamps.iter().copied().filter(|&t| t >= start && t < end).collect(),
-        probes: trace.probes,
-        primes: trace.primes,
+    let trace = Monitor::new(Strategy::Parallel, set).collect(&mut machine, run_cycles * 3);
+    let signings = covered_signings(&machine, &handle, &trace, runs_before);
+    let [train, attack, ..] = signings.as_slice() else {
+        panic!("monitoring window must cover at least two signings");
     };
 
-    let (train_start, train_run) = runs[0];
-    let train_trace = slice(train_start, train_start + train_run.duration);
-    let train_bounds: Vec<u64> =
-        train_run.iteration_starts.iter().map(|&o| train_start + o).collect();
-    let classifier = BoundaryClassifier::train(&extraction, &[(&train_trace, &train_bounds)]);
-
-    let (attack_start, attack_run) = runs[1];
-    let attack_trace = slice(attack_start, attack_start + attack_run.duration);
-    let boundaries = classifier.boundaries(&attack_trace);
-    let decoded = decode_bits(&attack_trace, &boundaries, &extraction);
-    let starts: Vec<u64> = attack_run.iteration_starts.iter().map(|&o| attack_start + o).collect();
-    let score = score_extraction(&decoded, &starts, &attack_run.nonce_bits, &extraction);
+    let extraction = ExtractionConfig {
+        iteration_cycles: victim_cfg.iteration_cycles,
+        ..ExtractionConfig::default()
+    };
+    let classifier =
+        BoundaryClassifier::train(&extraction, &[(&train.trace, &train.iteration_starts())]);
+    let decoded = classifier.decode(&attack.trace);
+    let starts = attack.iteration_starts();
+    let score = score_extraction(&decoded, &starts, &attack.run.nonce_bits, &extraction);
 
     ExtractionExample {
-        detections: attack_trace.timestamps.clone(),
+        detections: attack.trace.timestamps.clone(),
         iteration_starts: starts,
-        nonce_bits: attack_run.nonce_bits.clone(),
+        nonce_bits: attack.run.nonce_bits.clone(),
         decoded: decoded.iter().map(|d| (d.boundary, d.bit)).collect(),
         recovered_fraction: score.recovered_fraction(),
         bit_error_rate: score.bit_error_rate(),
@@ -834,40 +799,19 @@ pub fn measure_extraction_example(
 // Step 4: noisy-nonce key recovery (the `e2e_key` experiment)
 // ---------------------------------------------------------------------------
 
-/// Per-signature row of the key-recovery campaign report.
-#[derive(Debug, Clone, Copy)]
-pub struct SignatureAttemptRow {
-    /// Signature index within the campaign (0-based).
-    pub index: usize,
-    /// Soft-decoded bits observed for this signing.
-    pub observed_bits: usize,
-    /// Erased ladder positions after shift-0 alignment.
-    pub erasures: usize,
-    /// Correction-search candidates examined (all shift hypotheses).
-    pub candidates_examined: u64,
-    /// Candidates submitted to public-key verification.
-    pub candidates_tested: u64,
-    /// Whether this signature's corrected nonce verified.
-    pub recovered: bool,
-}
-
 /// Outcome of the fleet-sharded key-recovery campaign.
 #[derive(Debug, Clone)]
 pub struct KeyRecoveryOutcome {
-    /// One row per attacked signature, in order, up to and including the
-    /// successful one.
-    pub per_signature: Vec<SignatureAttemptRow>,
-    /// `signature_index + 1` of the successful signature, if any.
-    pub signatures_needed: Option<usize>,
+    /// The campaign over the fleet's captures in trial order: one attempt
+    /// record per attacked signature, up to and including the successful
+    /// one. Trials that captured nothing are skipped, so record `i` is the
+    /// `i`-th attacked signature.
+    pub campaign: CampaignReport,
     /// Whether the recovered key equals the victim's ground-truth private
     /// key (always true on success: verification is against the public key).
     pub matches_ground_truth: bool,
-    /// The recovered private key.
-    pub recovered_key: Option<Scalar>,
     /// Ladder positions per signature (nonce width − 1).
     pub ladder_bits: usize,
-    /// Mean simulated cycles spent monitoring one signature.
-    pub mean_capture_cycles: f64,
 }
 
 /// The multi-signature key-recovery campaign as a fleet workload: the
@@ -877,10 +821,10 @@ pub struct KeyRecoveryOutcome {
 /// trial captures one fresh signature**: the worker rewinds its machine to
 /// the shared snapshot, installs a fresh victim (same long-term key, fresh
 /// nonce/jitter streams), reseeds the noise, monitors one signing window and
-/// soft-decodes it. The observations come back in trial order; the
-/// confidence-ordered correction search then attacks them serially until a
-/// corrected nonce verifies against the service's public key, so the whole
-/// report is bit-identical for every `--threads` value.
+/// soft-decodes it. The observations come back in trial order and feed
+/// [`run_campaign`], which attacks them serially until a corrected nonce
+/// verifies against the service's public key, so the whole report is
+/// bit-identical for every `--threads` value.
 #[allow(clippy::too_many_arguments)] // one knob per experiment axis; callers name each cell
 pub fn measure_key_recovery(
     spec: &CacheSpec,
@@ -904,11 +848,7 @@ pub fn measure_key_recovery(
         ..EcdsaVictimConfig::default()
     };
     let iteration_cycles = victim_template.iteration_cycles;
-    let request_cycles = victim_template.pre_cycles
-        + victim_template.post_cycles
-        + nonce_bits as u64 * iteration_cycles
-        + REQUEST_GAP;
-    let window = request_cycles * 2;
+    let window = (victim_template.request_cycles() + REQUEST_GAP) * 2;
     let extraction = ExtractionConfig { iteration_cycles, ..ExtractionConfig::default() };
 
     // Shared base machine: the candidate pool is allocated *before* the
@@ -924,7 +864,7 @@ pub fn measure_key_recovery(
     let pool = CandidateSet::allocate(
         &mut base,
         0x240, // the branch line's page offset, known from the public binary
-        spec.sf.uncertainty() * spec.sf.ways() * 3,
+        EvsetConfig::default().candidate_count(spec, TargetCache::Sf),
         &mut rng,
     );
     let snapshot = base.snapshot();
@@ -946,31 +886,21 @@ pub fn measure_key_recovery(
         (log.layout.clone().expect("layout"), log.key_pair.clone().expect("full crypto key"))
     };
     let target_loc = base.oracle_victim_location(layout.branch_line);
-    let groups = oracle::group_by_location(&base, pool.addresses());
-    let ways = spec.sf.ways();
-    let members = groups
-        .iter()
-        .find(|(loc, m)| **loc == target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    let evset = oracle::sf_eviction_set(&base, target_loc, pool.addresses())
         .expect("candidate pool covers the target set");
-    let evset = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
-    let public = *key_pair.public();
-    let ground_truth = *key_pair.private();
 
     // Train the boundary classifier on one profiling signing (ground-truth
     // iteration starts, as in the pipeline and the paper's instrumentation).
     base.reset_to(&snapshot);
     let train_handle = install(&mut base, stream_seed(seed, trial_streams::TRAIN));
     base.reseed(stream_seed(seed, trial_streams::TRAIN));
-    let training = llc_core::capture_signing_run(&mut base, &evset, &train_handle, window, 0)
+    let training = capture_signing_run(&mut base, &evset, &train_handle, window, 0)
         .expect("training window must cover one signing");
-    let train_boundaries: Vec<u64> =
-        training.run.iteration_starts.iter().map(|&o| training.run_start + o).collect();
     let classifier =
-        BoundaryClassifier::train(&extraction, &[(&training.trace, &train_boundaries)]);
+        BoundaryClassifier::train(&extraction, &[(&training.trace, &training.iteration_starts())]);
 
     // One fleet trial = one fresh signature observation.
-    let observations: Vec<Option<SignatureObservation>> = fleet.run_with(
+    let captures = fleet.run_with(
         max_signatures,
         seed,
         |_worker| snapshot.to_machine(),
@@ -981,59 +911,29 @@ pub fn measure_key_recovery(
             // nonce streams differ per trial.
             let handle = install(machine, ctx.stream(trial_streams::VICTIM));
             machine.reseed(ctx.stream(trial_streams::NOISE));
-            let capture = llc_core::capture_signing_run(machine, &evset, &handle, window, 0)?;
-            let scored = classifier.scored_boundaries(&capture.trace);
-            let decoded = decode_bits_soft(&capture.trace, &scored, &extraction);
-            let mut observation = llc_core::soft_observation(&capture.run, &decoded)?;
-            observation.sim_cycles = capture.cycles;
-            Some(observation)
+            capture_signing_run(machine, &evset, &handle, window, 0)?.observe(&classifier)
         },
     );
 
-    // Serial, trial-ordered campaign over the observations: deterministic
-    // for any thread count because the fleet returns them in trial order.
-    let ladder_bits = nonce_bits.min(llc_ecdsa_victim::group_order().bit_length()) - 1;
+    // The campaign attacks the captures serially, in trial order: the same
+    // report for any thread count.
     let campaign_cfg = CampaignConfig {
-        ladder_bits,
+        ladder_bits: victim_template.ladder_bits(),
         iteration_cycles,
         max_signatures,
         max_alignment_shift: 1,
         search,
     };
-    let mut outcome = KeyRecoveryOutcome {
-        per_signature: Vec::new(),
-        signatures_needed: None,
-        matches_ground_truth: false,
-        recovered_key: None,
-        ladder_bits,
-        mean_capture_cycles: 0.0,
-    };
-    let mut capture_cycles = Vec::new();
-    for (index, observation) in observations.iter().enumerate() {
-        let Some(observation) = observation else { continue };
-        capture_cycles.push(observation.sim_cycles as f64);
-        let (recovered, stats) = attempt_signature(&campaign_cfg, &public, observation);
-        let row = SignatureAttemptRow {
-            index,
-            observed_bits: observation.observed.len(),
-            erasures: stats.erasures,
-            candidates_examined: stats.candidates_examined,
-            candidates_tested: stats.candidates_tested,
-            recovered: recovered.is_some(),
-        };
-        outcome.per_signature.push(row);
-        if let Some(key) = recovered {
-            outcome.signatures_needed = Some(index + 1);
-            outcome.matches_ground_truth = key.private == ground_truth;
-            outcome.recovered_key = Some(key.private);
-            break;
-        }
+    let mut captures = captures.into_iter().flatten();
+    let campaign = run_campaign(&campaign_cfg, key_pair.public(), |_| captures.next());
+    KeyRecoveryOutcome {
+        matches_ground_truth: campaign
+            .recovered
+            .as_ref()
+            .is_some_and(|key| &key.private == key_pair.private()),
+        ladder_bits: campaign_cfg.ladder_bits,
+        campaign,
     }
-    if !capture_cycles.is_empty() {
-        outcome.mean_capture_cycles =
-            capture_cycles.iter().sum::<f64>() / capture_cycles.len() as f64;
-    }
-    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -1114,8 +1014,8 @@ pub fn measure_aes_ttable(
         .seed(stream_seed(seed, trial_streams::MACHINE))
         .build();
     let mut rng = StdRng::seed_from_u64(stream_seed(seed, trial_streams::ALLOC));
-    let pool =
-        CandidateSet::allocate(&mut base, 0x0, spec.sf.uncertainty() * spec.sf.ways() * 3, &mut rng);
+    let count = EvsetConfig::default().candidate_count(spec, TargetCache::Sf);
+    let pool = CandidateSet::allocate(&mut base, 0x0, count, &mut rng);
     let snapshot = base.snapshot();
 
     // Installing right after the snapshot pins the victim's address-space
@@ -1131,14 +1031,8 @@ pub fn measure_aes_ttable(
     let layout = handle.lock().expect("AES victim log").layout.expect("layout");
     let monitored = layout.table_line(0, 0);
     let target_loc = base.oracle_victim_location(monitored);
-    let groups = oracle::group_by_location(&base, pool.addresses());
-    let ways = spec.sf.ways();
-    let members = groups
-        .iter()
-        .find(|(loc, m)| **loc == target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    let evset = oracle::sf_eviction_set(&base, target_loc, pool.addresses())
         .expect("candidate pool covers the monitored set");
-    let evset = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
 
     // One fleet trial = one independent batch of requests.
     let batches: Vec<Vec<([u8; 16], bool)>> = fleet.run_with(
@@ -1424,18 +1318,16 @@ mod tests {
         };
         let serial = run(1);
         assert_eq!(serial.ladder_bits, 31);
-        assert!(!serial.per_signature.is_empty(), "campaign must attack at least one signature");
+        let attempts = &serial.campaign.attempts;
+        assert!(!attempts.is_empty(), "campaign must attack at least one signature");
+        assert_eq!(attempts.len(), serial.campaign.signatures_observed);
         let threaded = run(2);
-        assert_eq!(serial.signatures_needed, threaded.signatures_needed);
-        assert_eq!(serial.recovered_key, threaded.recovered_key);
-        assert_eq!(serial.per_signature.len(), threaded.per_signature.len());
-        for (a, b) in serial.per_signature.iter().zip(&threaded.per_signature) {
-            assert_eq!(a.candidates_examined, b.candidates_examined);
-            assert_eq!(a.observed_bits, b.observed_bits);
-        }
+        assert_eq!(serial.campaign.signatures_needed, threaded.campaign.signatures_needed);
+        assert_eq!(serial.campaign.recovered, threaded.campaign.recovered);
+        assert_eq!(attempts, &threaded.campaign.attempts);
         // On success the key must equal the ground truth (public-key
         // verification admits no false positives).
-        if serial.signatures_needed.is_some() {
+        if serial.campaign.signatures_needed.is_some() {
             assert!(serial.matches_ground_truth);
         }
     }

@@ -70,8 +70,9 @@
 //! Every `LLC_*` knob from `LLC_THREADS` down goes through its flag's
 //! parser ([`RunOpts::from_env`]): set to a value that does not parse, it is
 //! an error naming the variable, never a silent fallback to the default
-//! configuration. `LLC_TRIALS` and `LLC_SLICES` still fall back to their
-//! defaults.
+//! configuration. The same holds for `LLC_TRIALS`, `LLC_SLICES` and the
+//! per-binary counts ([`env_usize`]): unset, they take their defaults; set
+//! to anything but a positive integer, the binary exits with an error.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -86,9 +87,25 @@ use llc_cache_model::{
 use llc_fleet::Fleet;
 use llc_machine::{ChurnConfig, Machine, NoiseFidelity, TenantPopulation};
 
-/// Reads a positive integer from the environment, with a default.
+/// Reads a positive integer scale knob (`LLC_TRIALS`, `LLC_SLICES`, the
+/// per-binary counts) from the environment: `default` when unset. A set but
+/// invalid value prints an error naming the variable and exits with status
+/// 2, like a bad flag.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
+    env_usize_from(&|var| std::env::var(var).ok(), name, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// Value-level core of [`env_usize`]: `lookup(name)` is the value of the
+/// environment variable `name`, if set.
+fn env_usize_from(
+    lookup: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    Ok(env_knob(lookup, name, parse_positive)?.unwrap_or(default))
 }
 
 /// Number of trials per experiment configuration (`LLC_TRIALS`).
@@ -188,7 +205,7 @@ impl RunOpts {
     /// value of the environment variable `name`, if set.
     fn from_env_values(lookup: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
         Ok(Self {
-            threads: env_knob(lookup, "LLC_THREADS", parse_threads)?
+            threads: env_knob(lookup, "LLC_THREADS", parse_positive)?
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             smoke: false,
             fidelity: env_knob(lookup, "LLC_NOISE_FIDELITY", parse_fidelity)?.unwrap_or_default(),
@@ -249,7 +266,7 @@ impl RunOpts {
                     .ok_or_else(|| format!("{flag} requires a value")),
             };
             match flag {
-                "--threads" => opts.threads = parse_threads(flag, &value()?)?,
+                "--threads" => opts.threads = parse_positive(flag, &value()?)?,
                 "--noise-fidelity" => opts.fidelity = parse_fidelity(flag, &value()?)?,
                 "--inclusion" => opts.inclusion = parse_inclusion(flag, &value()?)?,
                 "--slice-hash" => opts.slice_hash = parse_slice_hash(flag, &value()?)?,
@@ -385,8 +402,9 @@ fn env_knob<T>(
     lookup(name).map(|v| parse(name, &v)).transpose()
 }
 
-/// Parses a worker-thread count for `what` (`--threads` or `LLC_THREADS`).
-fn parse_threads(what: &str, v: &str) -> Result<usize, String> {
+/// Parses a positive integer for `what`: a worker-thread count (`--threads`,
+/// `LLC_THREADS`) or a scale knob read by [`env_usize`].
+fn parse_positive(what: &str, v: &str) -> Result<usize, String> {
     v.parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
@@ -504,6 +522,26 @@ mod tests {
     fn env_defaults_apply() {
         assert_eq!(env_usize("LLC_THIS_VAR_DOES_NOT_EXIST", 7), 7);
         assert_eq!(trials(5), trials(5));
+    }
+
+    /// Scale knobs: unset takes the default, a positive integer is read, and
+    /// anything else is an error naming the variable.
+    #[test]
+    fn env_scale_knobs_reject_invalid_values() {
+        let knob = |vars: &[(&str, &str)], name: &str| {
+            let lookup = |n: &str| vars.iter().find(|(k, _)| *k == n).map(|(_, v)| v.to_string());
+            env_usize_from(&lookup, name, 8)
+        };
+        assert_eq!(knob(&[], "LLC_TRIALS"), Ok(8));
+        assert_eq!(knob(&[("LLC_TRIALS", "12")], "LLC_TRIALS"), Ok(12));
+        assert_eq!(
+            knob(&[("LLC_SLICES", "0")], "LLC_SLICES"),
+            Err("LLC_SLICES expects a positive integer, got \"0\"".to_string())
+        );
+        for bad in ["six", "-1", "", " 4", "4.0"] {
+            let err = knob(&[("LLC_AES_REQUESTS", bad)], "LLC_AES_REQUESTS").unwrap_err();
+            assert!(err.starts_with("LLC_AES_REQUESTS"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

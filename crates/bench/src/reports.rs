@@ -371,7 +371,7 @@ pub fn e2e_key_report(opts: &RunOpts) -> String {
         "== Multi-signature campaign ({nonce_bits}-bit nonces, one fresh signing per fleet trial) =="
     )
     .unwrap();
-    let campaign = measure_key_recovery(
+    let outcome = measure_key_recovery(
         &spec,
         Environment::CloudRun,
         opts.fidelity,
@@ -389,12 +389,13 @@ pub fn e2e_key_report(opts: &RunOpts) -> String {
         "Sig", "Bits obs.", "Erasures", "Examined", "Tested", "Recovered"
     )
     .unwrap();
-    for row in &campaign.per_signature {
+    let campaign = &outcome.campaign;
+    for (index, row) in campaign.attempts.iter().enumerate() {
         writeln!(
             w,
             "{:<6} {:>10} {:>10} {:>10} {:>8} {:>10}",
-            row.index,
-            format!("{}/{}", row.observed_bits, campaign.ladder_bits),
+            index,
+            format!("{}/{}", row.observed_bits, outcome.ladder_bits),
             row.erasures,
             row.candidates_examined,
             row.candidates_tested,
@@ -406,13 +407,13 @@ pub fn e2e_key_report(opts: &RunOpts) -> String {
         Some(n) => writeln!(
             w,
             "campaign: key recovered after {n} signature(s) | ground truth: {}",
-            if campaign.matches_ground_truth { "MATCH" } else { "MISMATCH" }
+            if outcome.matches_ground_truth { "MATCH" } else { "MISMATCH" }
         )
         .unwrap(),
         None => writeln!(
             w,
             "campaign: no signature broke within budget ({} observed)",
-            campaign.per_signature.len()
+            campaign.signatures_observed
         )
         .unwrap(),
     }

@@ -142,11 +142,6 @@ impl BoundaryClassifier {
         BoundaryClassifier { forest, config: config.clone() }
     }
 
-    /// Classifies which detected accesses are iteration boundaries.
-    pub fn boundaries(&self, trace: &AccessTrace) -> Vec<u64> {
-        self.scored_boundaries(trace).into_iter().map(|b| b.at).collect()
-    }
-
     /// Classifies iteration boundaries and reports each accepted detection's
     /// class-1 vote fraction (the soft-decision input of Step 4).
     pub fn scored_boundaries(&self, trace: &AccessTrace) -> Vec<ScoredBoundary> {
@@ -157,6 +152,14 @@ impl BoundaryClassifier {
                 (label == 1).then_some(ScoredBoundary { at: trace.timestamps[idx], vote_fraction })
             })
             .collect()
+    }
+
+    /// Decodes the nonce bits of one signing's trace: classifies its
+    /// iteration boundaries and soft-decodes them ([`decode_bits_soft`])
+    /// with the configuration the classifier was trained with. This is the
+    /// decoder of Steps 3 and 4.
+    pub fn decode(&self, trace: &AccessTrace) -> Vec<DecodedBit> {
+        decode_bits_soft(trace, &self.scored_boundaries(trace), &self.config)
     }
 }
 
@@ -219,14 +222,20 @@ fn combine_confidence(vote: f64, margin: f64) -> f64 {
     ((0.25 + 0.75 * margin.clamp(0.0, 1.0)) * vote.clamp(0.0, 1.0)).clamp(0.0, 1.0)
 }
 
-fn decode_pairs(
+/// Soft-decision decoding from classified iteration boundaries: consecutive
+/// boundaries a plausible iteration apart yield one bit, and a detection
+/// inside the midpoint window means the bit is 0. Each bit's confidence
+/// folds the vote fractions of its two enclosing boundaries into the
+/// midpoint-access margin; boundaries given a vote fraction of 1.0 leave the
+/// margin alone.
+pub fn decode_bits_soft(
     trace: &AccessTrace,
-    boundaries: &[(u64, f64)],
+    boundaries: &[ScoredBoundary],
     config: &ExtractionConfig,
 ) -> Vec<DecodedBit> {
     let mut bits = Vec::new();
     for pair in boundaries.windows(2) {
-        let ((start, v_start), (end, v_end)) = (pair[0], pair[1]);
+        let (start, end) = (pair[0].at, pair[1].at);
         let gap = end - start;
         if gap < config.min_iteration() || gap > config.max_iteration() {
             continue;
@@ -235,7 +244,7 @@ fn decode_pairs(
         let hi = start + (gap as f64 * config.midpoint_window.1) as u64;
         let has_midpoint = trace.timestamps.iter().any(|&t| t > lo && t < hi);
         let margin = midpoint_margin(trace, start, gap, has_midpoint, config);
-        let vote = (v_start * v_end).sqrt();
+        let vote = (pair[0].vote_fraction * pair[1].vote_fraction).sqrt();
         bits.push(DecodedBit {
             boundary: start,
             bit: !has_midpoint,
@@ -243,36 +252,6 @@ fn decode_pairs(
         });
     }
     bits
-}
-
-/// Decodes nonce bits from a trace given the classified iteration boundaries:
-/// consecutive boundaries a plausible iteration apart yield one bit; a
-/// detection inside the midpoint window means the bit is 0.
-///
-/// Boundaries passed as plain timestamps are treated as fully confident
-/// (vote fraction 1.0); the per-bit confidence then reflects only the
-/// midpoint-access margin. Use [`decode_bits_soft`] with
-/// [`BoundaryClassifier::scored_boundaries`] to fold the classifier's own
-/// uncertainty into the confidences.
-pub fn decode_bits(
-    trace: &AccessTrace,
-    boundaries: &[u64],
-    config: &ExtractionConfig,
-) -> Vec<DecodedBit> {
-    let scored: Vec<(u64, f64)> = boundaries.iter().map(|&b| (b, 1.0)).collect();
-    decode_pairs(trace, &scored, config)
-}
-
-/// Soft-decision decoding: like [`decode_bits`], but each bit's confidence
-/// additionally folds in the boundary classifier's vote fractions for the
-/// two boundaries enclosing the iteration.
-pub fn decode_bits_soft(
-    trace: &AccessTrace,
-    boundaries: &[ScoredBoundary],
-    config: &ExtractionConfig,
-) -> Vec<DecodedBit> {
-    let scored: Vec<(u64, f64)> = boundaries.iter().map(|b| (b.at, b.vote_fraction)).collect();
-    decode_pairs(trace, &scored, config)
 }
 
 /// Accuracy of a decoded bit sequence against the ground truth.
@@ -395,9 +374,9 @@ mod tests {
         let bits = test_bits(64, 0xabcdef);
         let (trace, starts) = perfect_trace(&bits, config.iteration_cycles, 10_000);
         let classifier = BoundaryClassifier::train(&config, &[(&trace, &starts)]);
-        let boundaries = classifier.boundaries(&trace);
+        let boundaries = classifier.scored_boundaries(&trace);
         assert!(boundaries.len() >= bits.len() / 2, "boundary classifier found {}", boundaries.len());
-        let decoded = decode_bits(&trace, &boundaries, &config);
+        let decoded = classifier.decode(&trace);
         let score = score_extraction(&decoded, &starts[..bits.len()], &bits, &config);
         assert!(
             score.recovered_fraction() > 0.8,
@@ -416,8 +395,7 @@ mod tests {
 
         let attack_bits = test_bits(80, 99);
         let (attack_trace, attack_starts) = perfect_trace(&attack_bits, config.iteration_cycles, 5_000);
-        let boundaries = classifier.boundaries(&attack_trace);
-        let decoded = decode_bits(&attack_trace, &boundaries, &config);
+        let decoded = classifier.decode(&attack_trace);
         let score = score_extraction(&decoded, &attack_starts[..attack_bits.len()], &attack_bits, &config);
         assert!(score.recovered_fraction() > 0.7, "recovered {:.2}", score.recovered_fraction());
         assert!(score.bit_error_rate() < 0.12, "errors {:.2}", score.bit_error_rate());
@@ -437,8 +415,7 @@ mod tests {
             .map(|(_, &t)| t)
             .collect();
         let classifier = BoundaryClassifier::train(&config, &[(&trace, &starts)]);
-        let boundaries = classifier.boundaries(&trace);
-        let decoded = decode_bits(&trace, &boundaries, &config);
+        let decoded = classifier.decode(&trace);
         let score = score_extraction(&decoded, &starts[..bits.len()], &bits, &config);
         assert!(score.recovered_fraction() > 0.4);
         assert!(score.bit_error_rate() < 0.35);
@@ -542,23 +519,27 @@ mod tests {
         for b in &scored {
             assert!((0.0..=1.0).contains(&b.vote_fraction));
         }
-        // Scored and plain boundaries agree on the accepted detections.
-        let plain = classifier.boundaries(&trace);
-        assert_eq!(plain, scored.iter().map(|b| b.at).collect::<Vec<_>>());
 
-        let decoded = decode_bits_soft(&trace, &scored, &config);
+        let decoded = classifier.decode(&trace);
+        assert_eq!(decoded, decode_bits_soft(&trace, &scored, &config));
         assert!(!decoded.is_empty());
         for d in &decoded {
             assert!((0.0..=1.0).contains(&d.confidence), "confidence {}", d.confidence);
             // A perfect trace decodes every bit with high confidence.
             assert!(d.confidence > 0.5, "perfect-trace confidence {}", d.confidence);
         }
-        // Hard and soft decoding agree on positions and values.
-        let hard = decode_bits(&trace, &plain, &config);
+        // Fully confident boundaries (vote fraction 1.0) decode the same
+        // positions and values, each at least as confidently.
+        let certain: Vec<ScoredBoundary> =
+            scored.iter().map(|b| ScoredBoundary { vote_fraction: 1.0, ..*b }).collect();
+        let sure = decode_bits_soft(&trace, &certain, &config);
         assert_eq!(
-            hard.iter().map(|d| (d.boundary, d.bit)).collect::<Vec<_>>(),
+            sure.iter().map(|d| (d.boundary, d.bit)).collect::<Vec<_>>(),
             decoded.iter().map(|d| (d.boundary, d.bit)).collect::<Vec<_>>()
         );
+        for (s, d) in sure.iter().zip(&decoded) {
+            assert!(s.confidence >= d.confidence);
+        }
     }
 
     #[test]
@@ -578,8 +559,8 @@ mod tests {
             probes: 100,
             primes: 1,
         };
-        let boundaries = [0, iter, 2 * iter];
-        let decoded = decode_bits(&trace, &boundaries, &config);
+        let boundaries = [0, iter, 2 * iter].map(|at| ScoredBoundary { at, vote_fraction: 1.0 });
+        let decoded = decode_bits_soft(&trace, &boundaries, &config);
         assert_eq!(decoded.len(), 2);
         assert!(!decoded[0].bit && !decoded[1].bit);
         assert!(

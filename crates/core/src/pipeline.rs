@@ -5,12 +5,10 @@
 //! and Step 4 (`llc-recovery`) corrects the noisy bits and recovers the
 //! victim's private key, verified against the public key only.
 
-use crate::extract::{
-    decode_bits_soft, score_extraction, BoundaryClassifier, ExtractionConfig, ExtractionScore,
-};
+use crate::extract::{score_extraction, BoundaryClassifier, ExtractionConfig, ExtractionScore};
 use crate::features::FeatureConfig;
 use crate::identify::{scan_for_target, ClassifierTrainingConfig, ScanConfig, TraceClassifier};
-use llc_ecdsa_victim::{group_order, EcdsaVictim, EcdsaVictimConfig, Scalar, VictimHandle};
+use llc_ecdsa_victim::{EcdsaVictim, EcdsaVictimConfig, RunGroundTruth, Scalar, VictimHandle};
 use llc_fleet::stream_seed;
 use llc_evsets::{
     BinarySearch, BulkBuilder, BulkConfig, GroupTesting, PrimeScope, PruningAlgorithm, Scope,
@@ -455,55 +453,32 @@ impl EndToEndAttack {
         let cfg = &self.config;
         let runs_before = machine.victim_runs() as usize;
 
-        // Estimate one request's duration from the victim configuration.
-        let request_cycles = request_cycles(cfg);
         // One extra request's worth of monitoring for the training signing.
-        let window = request_cycles * (cfg.signatures as u64 + 2);
-
-        let mut monitor = Monitor::new(Strategy::Parallel, eviction_set.clone());
-        let trace = monitor.collect(machine, window);
-
-        // Align ground truth with the monitored window.
-        let log = handle.lock().expect("victim log available");
-        let run_starts = machine.victim_run_starts().to_vec();
-        let mut per_run: Vec<(u64, &llc_ecdsa_victim::RunGroundTruth)> = run_starts
-            .iter()
-            .copied()
-            .zip(log.runs.iter())
-            .skip(runs_before)
-            .filter(|(start, run)| *start >= trace.start && start + run.duration <= trace.end)
-            .collect();
-        if per_run.len() > cfg.signatures + 1 {
-            per_run.truncate(cfg.signatures + 1);
-        }
-        if per_run.is_empty() {
-            return Step3Output::default();
-        }
+        let window =
+            (cfg.victim.request_cycles() + cfg.victim_request_gap) * (cfg.signatures as u64 + 2);
+        let trace = Monitor::new(Strategy::Parallel, eviction_set.clone()).collect(machine, window);
+        let signings = covered_signings(machine, handle, &trace, runs_before);
+        let mut signings = signings.into_iter().take(cfg.signatures + 1);
 
         // Train the boundary classifier on the first captured signing.
-        let (train_start, train_run) = per_run[0];
-        let train_trace = slice_trace(&trace, train_start, train_start + train_run.duration);
-        let train_boundaries: Vec<u64> =
-            train_run.iteration_starts.iter().map(|&o| train_start + o).collect();
+        let Some(train) = signings.next() else {
+            return Step3Output::default();
+        };
+        let train_boundaries = train.iteration_starts();
         let boundary_classifier =
-            BoundaryClassifier::train(&cfg.extraction, &[(&train_trace, &train_boundaries)]);
+            BoundaryClassifier::train(&cfg.extraction, &[(&train.trace, &train_boundaries)]);
 
         // Decode and score the remaining signings.
         let mut output = Step3Output::default();
-        for &(run_start, run) in &per_run[1..] {
-            let run_trace = slice_trace(&trace, run_start, run_start + run.duration);
-            let decoded = decode_run(&run_trace, &boundary_classifier, &cfg.extraction);
-            let starts: Vec<u64> =
-                run.iteration_starts.iter().map(|&o| run_start + o).collect();
+        for signing in signings {
+            let decoded = boundary_classifier.decode(&signing.trace);
             output.scores.push(score_extraction(
                 &decoded,
-                &starts,
-                &run.nonce_bits,
+                &signing.iteration_starts(),
+                &signing.run.nonce_bits,
                 &cfg.extraction,
             ));
-            if let Some(observation) = soft_observation(run, &decoded) {
-                output.observations.push(observation);
-            }
+            output.observations.extend(soft_observation(&signing.run, &decoded));
         }
         output.classifier = Some(boundary_classifier);
         output
@@ -527,9 +502,8 @@ impl EndToEndAttack {
         // truth crosses into the campaign.
         let public = handle.lock().expect("victim log available").key_pair.as_ref()?.public().to_owned();
 
-        let nonce_width = cfg.victim.nonce_bits.min(group_order().bit_length());
         let campaign_cfg = CampaignConfig {
-            ladder_bits: nonce_width.saturating_sub(1),
+            ladder_bits: cfg.victim.ladder_bits(),
             iteration_cycles: cfg.extraction.iteration_cycles,
             max_signatures: cfg.recovery.max_signatures,
             max_alignment_shift: cfg.recovery.max_alignment_shift,
@@ -539,7 +513,7 @@ impl EndToEndAttack {
         let phase_start = machine.now();
         let mut captured = captured.into_iter();
         let mut consumed_runs = machine.victim_runs() as usize;
-        let window = request_cycles(cfg) * 2;
+        let window = (cfg.victim.request_cycles() + cfg.victim_request_gap) * 2;
         let report = run_campaign(&campaign_cfg, &public, |_| {
             if let Some(observation) = captured.next() {
                 return Some(observation);
@@ -553,12 +527,9 @@ impl EndToEndAttack {
                     capture_signing_run(machine, eviction_set, handle, window, consumed_runs)
                 {
                     consumed_runs = capture.consumed_runs;
-                    let decoded = decode_run(&capture.trace, classifier, &cfg.extraction);
                     // A missing transcript means a schedule-only victim;
                     // retrying cannot fix that.
-                    let mut observation = soft_observation(&capture.run, &decoded)?;
-                    observation.sim_cycles = capture.cycles;
-                    return Some(observation);
+                    return capture.observe(classifier);
                 }
             }
             None
@@ -588,29 +559,11 @@ impl EndToEndAttack {
     }
 }
 
-/// Estimated duration of one victim request, including the idle gap.
-fn request_cycles(cfg: &AttackConfig) -> u64 {
-    cfg.victim.pre_cycles
-        + cfg.victim.post_cycles
-        + cfg.victim.nonce_bits as u64 * cfg.victim.iteration_cycles
-        + cfg.victim_request_gap
-}
-
-/// Soft-decodes one signing's trace with the trained boundary classifier.
-fn decode_run(
-    run_trace: &AccessTrace,
-    classifier: &BoundaryClassifier,
-    extraction: &ExtractionConfig,
-) -> Vec<crate::extract::DecodedBit> {
-    let boundaries = classifier.scored_boundaries(run_trace);
-    decode_bits_soft(run_trace, &boundaries, extraction)
-}
-
 /// Packages one decoded signing as a Step 4 observation. Only full-crypto
 /// runs carry the (public) signature components; schedule-only victims
 /// return `None`. `sim_cycles` is left at zero for the caller to fill.
 pub fn soft_observation(
-    run: &llc_ecdsa_victim::RunGroundTruth,
+    run: &RunGroundTruth,
     decoded: &[crate::extract::DecodedBit],
 ) -> Option<SignatureObservation> {
     let transcript = run.transcript.as_ref()?;
@@ -634,12 +587,74 @@ pub struct CapturedSigning {
     pub run_start: u64,
     /// The signing's ground-truth record (iteration starts for training,
     /// transcript for Step 4).
-    pub run: llc_ecdsa_victim::RunGroundTruth,
+    pub run: RunGroundTruth,
     /// 1-past the consumed run's index — pass back as `skip_runs` to
     /// capture the next signing.
     pub consumed_runs: usize,
-    /// Simulated cycles the monitoring window cost.
+    /// Simulated cycles of the monitoring window that captured it.
     pub cycles: u64,
+}
+
+impl CapturedSigning {
+    /// Absolute cycle of every ladder iteration start (the ground-truth
+    /// boundaries that train and score the decoder).
+    pub fn iteration_starts(&self) -> Vec<u64> {
+        self.run.iteration_starts.iter().map(|&o| self.run_start + o).collect()
+    }
+
+    /// Decodes the signing with `classifier` and packages it as a Step 4
+    /// observation costing the capture's window, or `None` for a
+    /// schedule-only victim (no transcript). Step 4 and `e2e_key` turn
+    /// captures into observations through this one step.
+    pub fn observe(&self, classifier: &BoundaryClassifier) -> Option<SignatureObservation> {
+        let mut observation = soft_observation(&self.run, &classifier.decode(&self.trace))?;
+        observation.sim_cycles = self.cycles;
+        Some(observation)
+    }
+}
+
+/// The victim signings, from run index `skip_runs` on, that `trace` covers
+/// completely, each sliced out of it, in run order. A signing is covered
+/// when it starts at or after `trace.start` and ends at or before
+/// `trace.end`.
+///
+/// This is the one run-window matcher of Steps 3 and 4: Step 3
+/// (`EndToEndAttack`), [`capture_signing_run`] and `llc-bench`'s Figure 9
+/// all find their signings through it.
+pub fn covered_signings(
+    machine: &Machine,
+    handle: &VictimHandle,
+    trace: &AccessTrace,
+    skip_runs: usize,
+) -> Vec<CapturedSigning> {
+    let log = handle.lock().expect("victim log available");
+    machine
+        .victim_run_starts()
+        .iter()
+        .copied()
+        .zip(&log.runs)
+        .enumerate()
+        .skip(skip_runs)
+        .filter(|(_, (start, run))| *start >= trace.start && start + run.duration <= trace.end)
+        .map(|(index, (run_start, run))| CapturedSigning {
+            trace: AccessTrace {
+                start: run_start,
+                end: run_start + run.duration,
+                timestamps: trace
+                    .timestamps
+                    .iter()
+                    .copied()
+                    .filter(|&t| t >= run_start && t < run_start + run.duration)
+                    .collect(),
+                probes: trace.probes,
+                primes: trace.primes,
+            },
+            run_start,
+            run: run.clone(),
+            consumed_runs: index + 1,
+            cycles: trace.duration(),
+        })
+        .collect()
 }
 
 /// Monitors `eviction_set` for one `window` and returns the first victim
@@ -647,9 +662,9 @@ pub struct CapturedSigning {
 /// `None` when no signing finished inside it (retry with another window —
 /// iteration jitter can stretch a run past any fixed estimate).
 ///
-/// This is the shared run-capture primitive of Step 3/4: the pipeline's
-/// recovery phase and `llc-bench`'s fleet-sharded `e2e_key` campaign both
-/// build on it, so run-window matching has exactly one implementation.
+/// This is the run-capture primitive of Step 4: the pipeline's recovery
+/// phase and `llc-bench`'s fleet-sharded `e2e_key` campaign both call it,
+/// and it matches runs to the window with [`covered_signings`].
 pub fn capture_signing_run(
     machine: &mut Machine,
     eviction_set: &llc_evsets::EvictionSet,
@@ -657,26 +672,8 @@ pub fn capture_signing_run(
     window: u64,
     skip_runs: usize,
 ) -> Option<CapturedSigning> {
-    let before = machine.now();
-    let mut monitor = Monitor::new(Strategy::Parallel, eviction_set.clone());
-    let trace = monitor.collect(machine, window);
-    let cycles = machine.now() - before;
-    let log = handle.lock().expect("victim log available");
-    let run_starts = machine.victim_run_starts().to_vec();
-    let (index, (run_start, run)) = run_starts
-        .iter()
-        .copied()
-        .zip(log.runs.iter())
-        .enumerate()
-        .skip(skip_runs)
-        .find(|(_, (start, run))| *start >= trace.start && start + run.duration <= trace.end)?;
-    Some(CapturedSigning {
-        trace: slice_trace(&trace, run_start, run_start + run.duration),
-        run_start,
-        run: run.clone(),
-        consumed_runs: index + 1,
-        cycles,
-    })
+    let trace = Monitor::new(Strategy::Parallel, eviction_set.clone()).collect(machine, window);
+    covered_signings(machine, handle, &trace, skip_runs).into_iter().next()
 }
 
 /// Everything Step 3 hands to the report and to Step 4.
@@ -685,22 +682,6 @@ struct Step3Output {
     scores: Vec<ExtractionScore>,
     classifier: Option<BoundaryClassifier>,
     observations: Vec<SignatureObservation>,
-}
-
-/// Restricts a trace to the detections inside `[start, end)`.
-fn slice_trace(trace: &AccessTrace, start: u64, end: u64) -> AccessTrace {
-    AccessTrace {
-        start,
-        end,
-        timestamps: trace
-            .timestamps
-            .iter()
-            .copied()
-            .filter(|&t| t >= start && t < end)
-            .collect(),
-        probes: trace.probes,
-        primes: trace.primes,
-    }
 }
 
 #[cfg(test)]
@@ -733,6 +714,54 @@ mod tests {
         );
         let unique: std::collections::HashSet<u64> = derived.iter().copied().collect();
         assert_eq!(unique.len(), derived.len(), "streams must never collide");
+    }
+
+    /// The run-window matcher keeps exactly the runs a trace covers, from
+    /// `skip_runs` on, and slices each run's detections to its own window.
+    #[test]
+    fn covered_signings_match_runs_to_the_trace_window() {
+        let mut machine =
+            Machine::builder(CacheSpec::tiny_test()).noise(NoiseModel::silent()).seed(3).build();
+        let (victim, handle) = EcdsaVictim::new(EcdsaVictimConfig::fast_test());
+        machine.install_victim(Box::new(victim), true, 50_000);
+        machine.idle(4_000_000);
+        let runs: Vec<(u64, u64)> = {
+            let log = handle.lock().unwrap();
+            let starts = machine.victim_run_starts().iter();
+            starts.zip(&log.runs).map(|(&s, run)| (s, s + run.duration)).collect()
+        };
+        assert!(runs.len() >= 3, "the victim served only {} runs", runs.len());
+        // Detections on both edges of every run, and one just past each end.
+        let timestamps: Vec<u64> =
+            runs[..3].iter().flat_map(|&(s, e)| [s, s + 1, e - 1, e]).collect();
+        let trace = |start, end| AccessTrace {
+            start,
+            end,
+            timestamps: timestamps.clone(),
+            probes: 7,
+            primes: 2,
+        };
+        let indices = |signings: &[CapturedSigning]| -> Vec<usize> {
+            signings.iter().map(|c| c.consumed_runs).collect()
+        };
+
+        // A run starting exactly at `trace.start` and one ending exactly at
+        // `trace.end` are both covered.
+        let (start, end) = (runs[0].0, runs[2].1);
+        let all = covered_signings(&machine, &handle, &trace(start, end), 0);
+        assert_eq!(indices(&all), [1, 2, 3]);
+        for (signing, &(s, e)) in all.iter().zip(&runs) {
+            assert_eq!(signing.run_start, s);
+            assert_eq!((signing.trace.start, signing.trace.end), (s, e));
+            assert_eq!(signing.trace.timestamps, [s, s + 1, e - 1], "outside [{s}, {e})");
+            assert_eq!((signing.trace.probes, signing.trace.primes), (7, 2));
+            assert_eq!(signing.cycles, end - start);
+        }
+        // `skip_runs` is honoured.
+        assert_eq!(indices(&covered_signings(&machine, &handle, &trace(start, end), 1)), [2, 3]);
+        // A run crossing `trace.end` is dropped.
+        let cut = covered_signings(&machine, &handle, &trace(start, end - 1), 0);
+        assert_eq!(indices(&cut), [1, 2]);
     }
 
     #[test]

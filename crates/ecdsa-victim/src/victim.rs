@@ -16,7 +16,7 @@
 //! request parsing/serialisation, modelled as accesses to unrelated lines.
 
 use crate::ecdsa::{Ecdsa, KeyPair, SigningTranscript};
-use crate::scalar::Scalar;
+use crate::scalar::{group_order, Scalar};
 use llc_cache_model::{AddressSpace, VirtAddr, LINE_SIZE, PAGE_SIZE};
 use llc_machine::{ScheduledAccess, VictimProgram, VictimSchedule};
 use rand::rngs::StdRng;
@@ -146,6 +146,20 @@ impl EcdsaVictimConfig {
     /// line during runs of zero bits (the PSD peak of Section 6.2).
     pub fn expected_access_period(&self) -> u64 {
         self.iteration_cycles / 2
+    }
+
+    /// Duration of one request in cycles as monitoring windows are sized:
+    /// pre- and post-ladder handling plus `nonce_bits` nominal iterations
+    /// (the ladder runs at most that many). It excludes the idle gap between
+    /// requests, and iteration jitter can stretch a real run past it.
+    pub fn request_cycles(&self) -> u64 {
+        self.pre_cycles + self.post_cycles + self.nonce_bits as u64 * self.iteration_cycles
+    }
+
+    /// Ladder positions per signing: the nonce's bit width, capped at the
+    /// group order's, minus its leading one (a public service parameter).
+    pub fn ladder_bits(&self) -> usize {
+        self.nonce_bits.min(group_order().bit_length()).saturating_sub(1)
     }
 }
 
@@ -455,5 +469,20 @@ mod tests {
     fn expected_access_period_is_half_iteration() {
         let config = EcdsaVictimConfig::default();
         assert_eq!(config.expected_access_period(), 4_850);
+    }
+
+    /// Without jitter a run lasts the request estimate minus the one
+    /// iteration the leading nonce bit skips, and its ladder has
+    /// `ladder_bits()` positions.
+    #[test]
+    fn request_cycles_and_ladder_bits_describe_a_run() {
+        let config = EcdsaVictimConfig { iteration_jitter: 0.0, ..EcdsaVictimConfig::fast_test() };
+        let (mut victim, log, _layout) = setup_victim(config.clone());
+        let _ = victim.on_request();
+        let run = log.lock().unwrap().runs.last().cloned().expect("run recorded");
+        assert_eq!(run.duration + config.iteration_cycles, config.request_cycles());
+        assert_eq!(run.nonce_bits.len(), config.ladder_bits());
+        // Full-width victims are capped at the group order's 570 bits.
+        assert_eq!(EcdsaVictimConfig::default().ladder_bits(), 569);
     }
 }

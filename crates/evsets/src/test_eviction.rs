@@ -177,8 +177,9 @@ pub fn sequential_test_eviction(
 /// and experiment harnesses. The attack algorithms never call these.
 pub mod oracle {
     use super::*;
+    use crate::evset::EvictionSet;
     use llc_cache_model::SetLocation;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// Returns the candidates that are truly congruent with `ta` in the
     /// LLC/SF (same slice and set), according to the simulator's page tables.
@@ -191,16 +192,36 @@ pub mod oracle {
             .collect()
     }
 
-    /// Groups candidates by their true (slice, set) location.
+    /// Groups candidates by their true (slice, set) location, in ascending
+    /// location order, each group in candidate order. The order is fixed, so
+    /// callers that pick or order sets by it are deterministic.
     pub fn group_by_location(
         machine: &Machine,
         candidates: &[VirtAddr],
-    ) -> HashMap<SetLocation, Vec<VirtAddr>> {
-        let mut map: HashMap<SetLocation, Vec<VirtAddr>> = HashMap::new();
+    ) -> BTreeMap<SetLocation, Vec<VirtAddr>> {
+        let mut map: BTreeMap<SetLocation, Vec<VirtAddr>> = BTreeMap::new();
         for &c in candidates {
             map.entry(machine.oracle_attacker_location(c)).or_default().push(c);
         }
         map
+    }
+
+    /// The first SF-ways `candidates` congruent with `location`, as an SF
+    /// eviction set for it, or `None` when fewer are congruent: how the
+    /// harnesses that take Step 1 as given aim a monitor at a known set.
+    pub fn sf_eviction_set(
+        machine: &Machine,
+        location: SetLocation,
+        candidates: &[VirtAddr],
+    ) -> Option<EvictionSet> {
+        let ways = machine.spec().sf.ways();
+        let members: Vec<VirtAddr> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| machine.oracle_attacker_location(c) == location)
+            .take(ways)
+            .collect();
+        (members.len() == ways).then(|| EvictionSet::new(members, TargetCache::Sf))
     }
 
     /// True if every member of `set` is congruent with `ta` and the set has
@@ -337,6 +358,39 @@ mod tests {
         assert!(!oracle::is_true_eviction_set(&m, ta, &non, 4));
         let groups = oracle::group_by_location(&m, &cong);
         assert_eq!(groups.len(), 1);
+    }
+
+    /// The selector takes the first SF-ways congruent candidates, in
+    /// candidate order, and declines a set with fewer.
+    #[test]
+    fn sf_eviction_set_takes_the_first_congruent_candidates() {
+        let mut m = machine();
+        let w = m.spec().sf.ways();
+        let (ta, cong, non) = setup(&mut m, w + 1, 8);
+        let loc = m.oracle_attacker_location(ta);
+        let mut pool = non.clone();
+        pool.extend(&cong);
+        let set = oracle::sf_eviction_set(&m, loc, &pool).expect("w + 1 congruent candidates");
+        assert_eq!(set.addresses(), &cong[..w]);
+        assert_eq!(set.target(), TargetCache::Sf);
+        assert!(oracle::sf_eviction_set(&m, loc, &cong[..w - 1]).is_none());
+        assert!(oracle::sf_eviction_set(&m, loc, &non).is_none());
+    }
+
+    /// Groups come back in ascending location order, so set choices made by
+    /// walking them do not change from process to process (a `HashMap`
+    /// iterates in a per-process random order).
+    #[test]
+    fn groups_come_back_in_ascending_location_order() {
+        let spec = CacheSpec::skylake_sp(4, 4);
+        let mut m = Machine::builder(spec.clone()).noise(NoiseModel::silent()).seed(3).build();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let count = crate::config::EvsetConfig::default().candidate_count(&spec, TargetCache::Sf);
+        let pool = crate::candidates::CandidateSet::allocate(&mut m, 0x240, count, &mut rng);
+        let groups = oracle::group_by_location(&m, pool.addresses());
+        let keys: Vec<_> = groups.keys().copied().collect();
+        assert!(keys.len() > 1);
+        assert!(keys.windows(2).all(|k| k[0] < k[1]), "keys out of order: {keys:?}");
     }
 
     #[test]

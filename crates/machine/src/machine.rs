@@ -863,13 +863,7 @@ impl Machine {
             // the same payload on every retry.
             assert!(target <= deadline, "trial budget exhausted: {budget} virtual cycles");
         }
-        if self.host.has_scheduled() {
-            self.advance_host(target);
-        } else {
-            // The legacy path: no background tenants, the event queue is
-            // empty for the whole simulation and only the victim replays.
-            self.advance_victim(target);
-        }
+        self.advance_host(target);
         self.clock = target;
     }
 
@@ -877,6 +871,7 @@ impl Machine {
     /// order up to `to`. Ties resolve victim-first: the victim's accesses at
     /// cycle `t` land before any tenant burst scheduled at `t`, matching the
     /// pre-refactor ordering where victim replay was the only timed agent.
+    /// With no tenants the queue stays empty and this is victim replay.
     fn advance_host(&mut self, to: u64) {
         while let Some(at) = self.host.next_event_at(to) {
             self.advance_victim(at);

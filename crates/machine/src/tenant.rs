@@ -420,10 +420,6 @@ impl HostSim {
         self.arrivals
     }
 
-    pub(crate) fn has_scheduled(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Time of the earliest queued event at or before `to`, if any.
     pub(crate) fn next_event_at(&self, to: u64) -> Option<u64> {
         self.queue.peek().map(|Reverse(e)| e.at).filter(|&at| at <= to)
@@ -704,7 +700,7 @@ mod tests {
         let mut burst = TenantBurst::default();
         let mut stale_drops = 0u32;
         for _ in 0..5_000 {
-            if !host.has_scheduled() {
+            if host.queue.is_empty() {
                 break;
             }
             let event = host.pop_event();

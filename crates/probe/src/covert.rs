@@ -5,7 +5,7 @@
 
 use crate::monitor::{Monitor, MonitorStats};
 use crate::strategies::Strategy;
-use llc_evsets::{oracle, CandidateSet, EvictionSet, TargetCache};
+use llc_evsets::{oracle, CandidateSet, EvsetConfig, TargetCache};
 use llc_machine::{Machine, NoiseModel, PeriodicToucher};
 use llc_cache_model::{CacheSpec, VirtAddr};
 use rand::rngs::SmallRng;
@@ -95,19 +95,9 @@ fn try_run(
     let target_loc = machine.oracle_victim_location(sender_va);
 
     // Receiver: a true SF eviction set for the agreed set.
-    let candidates = CandidateSet::allocate(
-        &mut machine,
-        config.page_offset,
-        config.spec.sf.uncertainty() * config.spec.sf.ways() * 3,
-        &mut rng,
-    );
-    let ways = config.spec.sf.ways();
-    let groups = oracle::group_by_location(&machine, candidates.addresses());
-    let members = groups.get(&target_loc)?;
-    if members.len() < ways {
-        return None;
-    }
-    let eviction_set = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
+    let count = EvsetConfig::default().candidate_count(&config.spec, TargetCache::Sf);
+    let candidates = CandidateSet::allocate(&mut machine, config.page_offset, count, &mut rng);
+    let eviction_set = oracle::sf_eviction_set(&machine, target_loc, candidates.addresses())?;
 
     // Ground-truth sender access times: back-to-back runs starting at install.
     let run_duration = config.access_interval * config.sender_accesses as u64;

@@ -11,13 +11,14 @@
 //! hypotheses and the correction search for each, and stops at the first
 //! verified key.
 //!
-//! The driver is deliberately ignorant of *how* observations are produced:
-//! the caller supplies a closure. `llc-core` feeds it from the live attack
-//! machine (monitoring one signing per call), and `llc-bench`'s `e2e_key`
-//! campaign shards observation collection across the `llc-fleet` executor
-//! with per-signature machine snapshot/reset — either way the report is a
-//! pure function of the observations, so results are independent of thread
-//! count and collection strategy.
+//! [`run_campaign`] is the one campaign loop. It is deliberately ignorant of
+//! *how* observations are produced: the caller supplies a closure.
+//! `llc-core` feeds it from the live attack machine (monitoring one signing
+//! per call), and `llc-bench`'s `e2e_key` campaign feeds it the captures
+//! that the `llc-fleet` executor collected with per-signature machine
+//! snapshot/reset, in trial order. Either way the report is a pure function
+//! of the observations, so results are independent of thread count and
+//! collection strategy.
 
 use crate::algebra::KeyVerifier;
 use crate::search::{correct_and_recover, SearchConfig};
@@ -102,20 +103,27 @@ pub struct CampaignReport {
     pub candidates_tested: u64,
     /// Simulated cycles spent capturing the consumed observations.
     pub sim_cycles: u64,
+    /// One record per attacked signature, in order; only the last can be
+    /// marked recovered.
+    pub attempts: Vec<AttemptStats>,
     /// Host wall-clock time of the whole campaign (observation + search).
     pub wall: Duration,
 }
 
-/// Work statistics of [`attempt_signature`].
+/// One attacked signature: what [`attempt_signature`] saw and spent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttemptStats {
+    /// Soft-decoded bits the observation carried.
+    pub observed_bits: usize,
+    /// Erased ladder positions of the shift-0 alignment (the reconstruction
+    /// quality the search actually saw).
+    pub erasures: usize,
     /// Candidate flip sets examined across all shift hypotheses.
     pub candidates_examined: u64,
     /// Candidates submitted to the verifier.
     pub candidates_tested: u64,
-    /// Erased ladder positions of the shift-0 alignment (the reconstruction
-    /// quality the search actually saw).
-    pub erasures: usize,
+    /// Whether the signature's corrected nonce verified.
+    pub recovered: bool,
 }
 
 /// Attacks one observed signature: alignment-shift hypotheses × correction
@@ -127,7 +135,8 @@ pub fn attempt_signature(
     public: &Point,
     observation: &SignatureObservation,
 ) -> (Option<RecoveredKey>, AttemptStats) {
-    let mut stats = AttemptStats::default();
+    let mut stats =
+        AttemptStats { observed_bits: observation.observed.len(), ..AttemptStats::default() };
     let verifier = KeyVerifier::new(
         *public,
         observation.signature,
@@ -148,6 +157,7 @@ pub fn attempt_signature(
         stats.candidates_examined += outcome.candidates_examined;
         stats.candidates_tested += outcome.candidates_tested;
         if let (Some(private), Some(nonce)) = (outcome.key, outcome.nonce) {
+            stats.recovered = true;
             return (
                 Some(RecoveredKey {
                     private,
@@ -183,6 +193,7 @@ where
         candidates_examined: 0,
         candidates_tested: 0,
         sim_cycles: 0,
+        attempts: Vec::new(),
         wall: Duration::ZERO,
     };
     for index in 0..config.max_signatures {
@@ -194,6 +205,7 @@ where
         let (recovered, stats) = attempt_signature(config, public, &observation);
         report.candidates_examined += stats.candidates_examined;
         report.candidates_tested += stats.candidates_tested;
+        report.attempts.push(stats);
         if let Some(mut key) = recovered {
             key.signature_index = index;
             report.signatures_needed = Some(index + 1);
@@ -324,6 +336,46 @@ mod tests {
         assert_eq!(recovered.alignment_shift, 1);
     }
 
+    /// Attempt records: one per attacked signature, summing to the report
+    /// totals, with only the breaking signature marked recovered.
+    fn assert_attempts_add_up(report: &CampaignReport) {
+        assert_eq!(report.attempts.len(), report.signatures_observed);
+        let examined: u64 = report.attempts.iter().map(|a| a.candidates_examined).sum();
+        let tested: u64 = report.attempts.iter().map(|a| a.candidates_tested).sum();
+        assert_eq!(examined, report.candidates_examined);
+        assert_eq!(tested, report.candidates_tested);
+        let recovered: Vec<bool> = report.attempts.iter().map(|a| a.recovered).collect();
+        let mut expected = vec![false; report.attempts.len()];
+        if report.recovered.is_some() {
+            *expected.last_mut().expect("a recovery attacked a signature") = true;
+        }
+        assert_eq!(recovered, expected);
+    }
+
+    #[test]
+    fn attempt_records_match_the_report() {
+        let (key, transcripts) = service(2);
+        let hopeless: Vec<usize> = (0..NONCE_BITS - 1).step_by(2).collect();
+        let report = run_campaign(&config(), key.public(), |i| match i {
+            0 => Some(observe(&transcripts[0], &hopeless, &[])),
+            1 => Some(observe(&transcripts[1], &[3, 9, 17], &[12])),
+            _ => None,
+        });
+        assert!(report.recovered.is_some());
+        assert_attempts_add_up(&report);
+        assert_eq!(report.attempts[0].observed_bits, NONCE_BITS - 1 - hopeless.len());
+        assert_eq!(report.attempts[1].observed_bits, NONCE_BITS - 1 - 3);
+        assert_eq!(report.attempts[1].erasures, 3);
+
+        // A campaign that never breaks marks no record recovered.
+        let (key, transcripts) = service(3);
+        let report = run_campaign(&config(), key.public(), |i| {
+            Some(observe(&transcripts[i], &hopeless, &[]))
+        });
+        assert!(report.recovered.is_none());
+        assert_attempts_add_up(&report);
+    }
+
     #[test]
     fn exhausted_source_ends_the_campaign() {
         let (key, _) = service(5);
@@ -331,5 +383,6 @@ mod tests {
         assert!(report.recovered.is_none());
         assert_eq!(report.signatures_observed, 0);
         assert_eq!(report.candidates_examined, 0);
+        assert!(report.attempts.is_empty());
     }
 }

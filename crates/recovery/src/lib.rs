@@ -24,9 +24,10 @@
 //!    `d = r⁻¹·(s·k − z) mod n` and accept only when `d·G` equals the
 //!    victim's public key (with a cheap `x(k·G) = r` pre-check, also public
 //!    information);
-//! 4. **[`campaign`]** — a multi-signature driver that keeps consuming fresh
-//!    signature observations until some signature's corrected nonce
-//!    verifies, reporting signatures-needed, search work and time spent.
+//! 4. **[`campaign`]** — the one multi-signature loop ([`run_campaign`]),
+//!    which keeps consuming fresh signature observations until some
+//!    signature's corrected nonce verifies, reporting signatures-needed,
+//!    one attempt record per signature, search work and time spent.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,7 +39,7 @@ pub mod soft;
 
 pub use algebra::{nonce_from_ladder_bits, recover_private_key, KeyVerifier};
 pub use campaign::{
-    attempt_signature, run_campaign, CampaignConfig, CampaignReport, RecoveredKey,
+    attempt_signature, run_campaign, AttemptStats, CampaignConfig, CampaignReport, RecoveredKey,
     SignatureObservation,
 };
 pub use search::{correct_and_recover, SearchConfig, SearchOutcome};

@@ -92,9 +92,8 @@ fn step2_identifies_the_victim_target_set() {
 /// per-iteration access pattern (roughly 1-2 accesses per iteration).
 #[test]
 fn step3_monitoring_sees_ladder_periodicity() {
-    let spec = CacheSpec::tiny_test();
     let mut machine =
-        Machine::builder(spec.clone()).noise(NoiseModel::silent()).seed(0xbea7).build();
+        Machine::builder(CacheSpec::tiny_test()).noise(NoiseModel::silent()).seed(0xbea7).build();
     let mut rng = StdRng::seed_from_u64(0xbea7);
 
     let victim_cfg = EcdsaVictimConfig::fast_test();
@@ -111,14 +110,8 @@ fn step3_monitoring_sees_ladder_periodicity() {
         512,
         &mut rng,
     );
-    let groups = oracle::group_by_location(&machine, pool.addresses());
-    let ways = spec.sf.ways();
-    let members = groups
-        .iter()
-        .find(|(loc, m)| **loc == target_loc && m.len() > ways)
-        .map(|(_, m)| m.clone())
+    let set = oracle::sf_eviction_set(&machine, target_loc, pool.addresses())
         .expect("candidate pool covers the target set");
-    let set = EvictionSet::new(members[..ways].to_vec(), TargetCache::Sf);
 
     // Monitor across two full requests.
     let request = 300_000 + bits * iteration + 120_000;
