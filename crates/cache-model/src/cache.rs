@@ -65,6 +65,13 @@ impl<T: Copy + Default> Cache<T> {
         self.arena.view_mut(idx).insert(line, payload)
     }
 
+    /// Inserts `line`, which the caller knows is absent, without scanning
+    /// for it (see `SetViewMut::insert_absent`).
+    pub(crate) fn insert_absent(&mut self, line: LineAddr, payload: T) -> Option<Entry<T>> {
+        let idx = self.set_index(line);
+        self.arena.view_mut(idx).insert_absent(line, payload)
+    }
+
     /// Removes `line`, returning its payload if present.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<T> {
         let idx = self.set_index(line);
@@ -214,6 +221,18 @@ impl<T: Copy + Default> SlicedCache<T> {
     pub fn insert_at(&mut self, loc: SetLocation, line: LineAddr, payload: T) -> Option<Entry<T>> {
         let idx = self.flat(loc);
         self.arena.view_mut(idx).insert(line, payload)
+    }
+
+    /// [`SlicedCache::insert_at`] for a line the caller knows is absent from
+    /// that set, without scanning for it (see `SetViewMut::insert_absent`).
+    pub(crate) fn insert_absent_at(
+        &mut self,
+        loc: SetLocation,
+        line: LineAddr,
+        payload: T,
+    ) -> Option<Entry<T>> {
+        let idx = self.flat(loc);
+        self.arena.view_mut(idx).insert_absent(line, payload)
     }
 
     /// Removes `line`, returning its payload if present.

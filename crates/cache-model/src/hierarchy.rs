@@ -75,8 +75,17 @@ impl SfEntry {
         Self { owners: 1 << core }
     }
 
+    /// The owning core ids in ascending order: one step per set bit.
     fn iter_owners(self) -> impl Iterator<Item = usize> {
-        (0..64).filter(move |c| self.owners & (1 << c) != 0)
+        let mut mask = self.owners;
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let core = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            Some(core)
+        })
     }
 }
 
@@ -445,9 +454,7 @@ impl Hierarchy {
 
         // 5. Miss everywhere: fetch from memory, install privately, allocate
         //    an SF entry to track the new private line.
-        self.fill_private(core, line, state_on_fill);
-        let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
-        AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: displaced }
+        self.fill_from_memory(core, line, loc, state_on_fill)
     }
 
     /// Shared stage of the inclusive policy: the LLC is a superset of every
@@ -531,9 +538,7 @@ impl Hierarchy {
             }
             return AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: false };
         }
-        self.fill_private(core, line, state_on_fill);
-        let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
-        AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: displaced }
+        self.fill_from_memory(core, line, loc, state_on_fill)
     }
 
     /// Upgrades a Shared private hit to Modified (read-for-ownership): every
@@ -899,17 +904,42 @@ impl Hierarchy {
 
     // ----- internal helpers -------------------------------------------------
 
+    // The private fills below install without scanning for `line`: every
+    // caller in `access_at` has just missed it in `core`'s L1 (and, for
+    // `fill_private`, its L2), and nothing in between installs a private
+    // line — the shared stages, eviction handlers and back-invalidations
+    // only look up, downgrade or invalidate private copies.
+
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, state: CoherenceState) {
         // L1 evictions silently drop the line; it normally remains in L2 or
         // the LLC, and losing a stale private copy only causes an extra miss.
-        let _ = self.l1[core].insert(line, PrivLine { state });
+        let _ = self.l1[core].insert_absent(line, PrivLine { state });
     }
 
     fn fill_private(&mut self, core: CoreId, line: LineAddr, state: CoherenceState) {
-        if let Some(evicted) = self.l2[core].insert(line, PrivLine { state }) {
+        if let Some(evicted) = self.l2[core].insert_absent(line, PrivLine { state }) {
             self.handle_l2_eviction(core, evicted.line, evicted.payload);
         }
         self.fill_l1(core, line, state);
+    }
+
+    /// The memory path of the SF-tracking policies: install `line`
+    /// privately and allocate its SF entry. Both callers have just seen the
+    /// SF miss `line` at `loc`, and the private fill never allocates an SF
+    /// entry, so the allocation skips the tag scan too.
+    fn fill_from_memory(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        loc: SetLocation,
+        state: CoherenceState,
+    ) -> AccessOutcome {
+        self.fill_private(core, line, state);
+        let evicted = self.sf.insert_absent_at(loc, line, SfEntry::owner(core));
+        if let Some(e) = evicted {
+            self.handle_sf_eviction(e.line, e.payload);
+        }
+        AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: evicted.is_some() }
     }
 
     fn handle_l2_eviction(&mut self, core: CoreId, line: LineAddr, payload: PrivLine) {

@@ -65,6 +65,9 @@ const MAX_AGE: u64 = 3;
 /// fall back to the one-age-per-word representation.
 const LRU_PACKED_MAX_WAYS: usize = 16;
 
+/// The low bit of every nibble lane.
+const NIBBLE_LSBS: u64 = 0x1111_1111_1111_1111;
+
 /// Bitmask covering the low `ways` nibbles of a packed LRU word.
 #[inline]
 fn packed_lane_bits(ways: usize) -> u64 {
@@ -229,11 +232,11 @@ impl ReplacementKind {
             ReplacementKind::Lru => {
                 // The ages form a permutation, so the maximum is unique.
                 if ways <= LRU_PACKED_MAX_WAYS {
-                    let x = meta[0];
-                    let target = (ways - 1) as u64;
-                    (0..ways)
-                        .find(|&w| packed_age(x, w) == target)
-                        .expect("LRU ages form a permutation")
+                    // Branch-free: the one used lane not below `ways - 1`.
+                    let lanes = packed_lane_bits(ways) & NIBBLE_LSBS;
+                    let oldest = !nibble_lt_mask(meta[0], (ways - 1) as u64) & lanes;
+                    debug_assert_eq!(oldest.count_ones(), 1, "LRU ages form a permutation");
+                    oldest.trailing_zeros() as usize / 4
                 } else {
                     let mut victim = 0;
                     let mut oldest = meta[0];
@@ -321,7 +324,7 @@ impl ReplacementKind {
                     // borrow crosses lanes. Unused lanes (pinned at 0xF) are
                     // excluded by the lane mask.
                     let lanes = packed_lane_bits(ways);
-                    let dec = !nibble_lt_mask(x, old + 1) & 0x1111_1111_1111_1111 & lanes;
+                    let dec = !nibble_lt_mask(x, old + 1) & NIBBLE_LSBS & lanes;
                     let cleared = (x - dec) & !(0xF << (4 * way));
                     meta[0] = cleared | ((ways as u64 - 1) << (4 * way));
                 } else {

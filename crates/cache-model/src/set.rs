@@ -297,6 +297,17 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
             self.payload[way] = payload;
             return None;
         }
+        self.insert_absent(line, payload)
+    }
+
+    /// Installs `line`, which the caller knows is not in this set (it has
+    /// just missed here and nothing since installed it), without scanning
+    /// the tags for it: the lowest free way, else the policy's victim.
+    ///
+    /// Returns the evicted entry, if any; the same result, metadata and RNG
+    /// draws as [`SetViewMut::insert`] of an absent line.
+    pub(crate) fn insert_absent(&mut self, line: LineAddr, payload: T) -> Option<Entry<T>> {
+        debug_assert!(self.find_way(line).is_none(), "known-absent insert of a resident line");
         // Prefer an invalid way (lowest index first, matching the boxed
         // implementation's scan order).
         let free = !*self.valid & self.way_mask();
@@ -381,14 +392,9 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
             return;
         }
         let mut remaining = count;
-        loop {
-            let free = !*self.valid & self.way_mask();
-            if free == 0 {
-                break;
-            }
-            let way = free.trailing_zeros() as usize;
-            let line = mint();
-            self.install(way, line, T::default());
+        while *self.valid != self.way_mask() {
+            // A way is free, so the fill displaces nothing.
+            let _ = self.insert_absent(mint(), T::default());
             remaining -= 1;
             if remaining == 0 {
                 return;
@@ -622,6 +628,63 @@ mod tests {
         // so the LRU victim is way 0.
         let e = a.view_mut(0).insert(line(5000), ()).expect("full set evicts");
         assert_eq!(e.line, line(1000 + 8));
+    }
+
+    /// `insert_absent` is `insert` without the tag scan. Twin arenas driven
+    /// by one random stream — absent lines filled through `insert` on one
+    /// side and `insert_absent` on the other, interleaved with hits,
+    /// demotions and invalidations applied to both — must evict the same
+    /// entries and keep the same ways, metadata words and (for `Random`)
+    /// RNG states after every step, at every modelled associativity, the
+    /// single-lane packed LRU and the > 16-way fallback included.
+    #[test]
+    fn insert_absent_matches_insert_of_an_absent_line() {
+        use rand::Rng;
+        let kinds = [
+            ReplacementKind::Lru,
+            ReplacementKind::TreePlru,
+            ReplacementKind::Qlru,
+            ReplacementKind::Srrip,
+            ReplacementKind::Random,
+        ];
+        for kind in kinds {
+            for ways in [1usize, 2, 8, 11, 12, 16, 20] {
+                let mut a: SetArena<u32> = SetArena::new(1, ways, kind, |_| 0x5eed);
+                let mut b = a.clone();
+                let mut stream = SmallRng::seed_from_u64(ways as u64);
+                // Three lines per way: lines leave and come back, so about
+                // two picks in three are absent.
+                let pool = 3 * ways as u64;
+                for step in 0..2_000u32 {
+                    let l = line(stream.gen_range(0..pool));
+                    let resident = a.view(0).contains(l);
+                    match stream.gen_range(0..8) {
+                        0..=4 if !resident => {
+                            let want = a.view_mut(0).insert(l, step);
+                            let got = b.view_mut(0).insert_absent(l, step);
+                            assert_eq!(got, want, "{kind:?} {ways}-way step {step}: eviction");
+                        }
+                        5 => {
+                            assert_eq!(a.view_mut(0).demote(l), b.view_mut(0).demote(l));
+                        }
+                        6 => {
+                            assert_eq!(a.view_mut(0).invalidate(l), b.view_mut(0).invalidate(l));
+                        }
+                        _ => {
+                            let hit = a.view_mut(0).lookup(l).copied();
+                            assert_eq!(b.view_mut(0).lookup(l).copied(), hit);
+                        }
+                    }
+                    let (va, vb) = (a.view(0), b.view(0));
+                    for w in 0..ways {
+                        assert_eq!(va.line(w), vb.line(w), "{kind:?} {ways}-way step {step}");
+                        assert_eq!(va.payload(w), vb.payload(w), "{kind:?} {ways}-way step {step}");
+                        assert_eq!(va.meta_word(w), vb.meta_word(w), "{kind:?} {ways}-way step {step}");
+                    }
+                    assert_eq!(a.rngs, b.rngs, "{kind:?} {ways}-way step {step}: RNG draws");
+                }
+            }
+        }
     }
 
     /// Zero fills are a strict no-op.

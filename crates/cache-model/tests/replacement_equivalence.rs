@@ -309,13 +309,14 @@ proptest! {
 
     /// LRU: both the nibble-packed (≤ 16 ways) and per-word (> 16 ways)
     /// representations replay the explicit recency list exactly. The way
-    /// counts cover the modelled hardware (8/11/12/16) and the fallback.
+    /// counts cover the modelled hardware (8/11/12/16), the fallback and the
+    /// single-lane packed word.
     #[test]
     fn lru_matches_recency_list_oracle(
-        ways_idx in 0usize..7,
+        ways_idx in 0usize..8,
         ops in prop::collection::vec((0u8..4, 0u64..24), 1..400),
     ) {
-        let ways = [2usize, 5, 8, 11, 12, 16, 20][ways_idx];
+        let ways = [1usize, 2, 5, 8, 11, 12, 16, 20][ways_idx];
         check_equivalence(ReplacementKind::Lru, ways, &ops)?;
     }
 
