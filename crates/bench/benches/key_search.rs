@@ -5,9 +5,10 @@
 //! search against real public-key verification, whose per-candidate cost is
 //! one curve ladder over the candidate nonce. The planted patterns pin the
 //! solution at a known search depth so the numbers are comparable across
-//! runs.
+//! runs. `ladder_64` times that per-candidate ladder alone, and `field_mul`
+//! the GF(2^571) multiplication it is built from.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_ecdsa_victim::{hash_to_scalar, Ecdsa, KeyPair, Scalar};
 use llc_recovery::{correct_and_recover, BitEstimate, KeyVerifier, SearchConfig};
 use rand::rngs::SmallRng;
@@ -80,6 +81,19 @@ fn bench_key_search(c: &mut Criterion) {
             },
         );
     }
+
+    // What `KeyVerifier::try_nonce` pays per candidate: one ladder over a
+    // 64-bit scalar, and the field multiplication that dominates it. One
+    // `mul` is ~0.1-1 µs, so it takes many samples; each includes a pair of
+    // `Instant` reads.
+    let generator = ecdsa.curve().generator();
+    let k64 = Scalar::random_with_bit_length(&mut rng, 64);
+    group.bench_function("ladder_64", |b| {
+        b.iter(|| ecdsa.curve().montgomery_ladder(black_box(&k64), &generator).0);
+    });
+    let (gx, gy) = (generator.x().expect("affine"), generator.y().expect("affine"));
+    group.sample_size(10_000);
+    group.bench_function("field_mul", |b| b.iter(|| black_box(&gx).mul(black_box(&gy))));
     group.finish();
 }
 

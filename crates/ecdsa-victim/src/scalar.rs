@@ -159,12 +159,21 @@ impl U576 {
 }
 
 /// The sect571r1 group order
-/// `n = 0x03FFFFFF...FFFE661CE18FF55987308059B186823851EC7DD9CA1161DE93D5174D66E8382E9BB2FE84E47`.
-pub fn group_order() -> U576 {
-    U576::from_hex(
-        "03FFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF \
-         E661CE18 FF559873 08059B18 6823851E C7DD9CA1 161DE93D 5174D66E 8382E9BB 2FE84E47",
-    )
+/// `n = 0x03FFFFFF...FFFE661CE18FF55987308059B186823851EC7DD9CA1161DE93D5174D66E8382E9BB2FE84E47`,
+/// as little-endian limbs (`order_constant_matches_sec2_hex` checks them
+/// against the SEC 2 string).
+pub const fn group_order() -> U576 {
+    U576::from_limbs([
+        0x8382_E9BB_2FE8_4E47,
+        0x161D_E93D_5174_D66E,
+        0x6823_851E_C7DD_9CA1,
+        0xFF55_9873_0805_9B18,
+        0xFFFF_FFFF_E661_CE18,
+        0xFFFF_FFFF_FFFF_FFFF,
+        0xFFFF_FFFF_FFFF_FFFF,
+        0xFFFF_FFFF_FFFF_FFFF,
+        0x03FF_FFFF_FFFF_FFFF,
+    ])
 }
 
 /// A scalar modulo the sect571r1 group order, always kept reduced.
@@ -377,6 +386,15 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn order_constant_matches_sec2_hex() {
+        let sec2 = U576::from_hex(
+            "03FFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFF \
+             E661CE18 FF559873 08059B18 6823851E C7DD9CA1 161DE93D 5174D66E 8382E9BB 2FE84E47",
+        );
+        assert_eq!(group_order(), sec2);
+    }
 
     #[test]
     fn order_has_expected_shape() {
