@@ -5,18 +5,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_bench::experiments::{measure_single_set, Environment};
 use llc_fleet::Fleet;
 use llc_core::Algorithm;
-use llc_cache_model::{CacheSpec, HierarchyOptions, SlicedGeometry};
+use llc_cache_model::{CacheSpec, HierarchyOptions};
 use llc_machine::NoiseFidelity;
 
-fn scaled_ice_lake(slices: usize) -> CacheSpec {
-    let mut icx = CacheSpec::ice_lake_sp();
-    icx.llc = SlicedGeometry::new(icx.llc.slice_geometry(), slices);
-    icx.sf = SlicedGeometry::new(icx.sf.slice_geometry(), slices);
-    icx
-}
-
 fn bench_associativity(c: &mut Criterion) {
-    let machines = [("skylake", CacheSpec::skylake_sp(2, 4)), ("icelake", scaled_ice_lake(2))];
+    let machines =
+        [("skylake", CacheSpec::skylake_sp(2, 4)), ("icelake", CacheSpec::ice_lake_sp_with(2, 4))];
     let mut group = c.benchmark_group("icelake_associativity");
     group.sample_size(10);
     for (name, spec) in &machines {

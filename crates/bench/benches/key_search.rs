@@ -40,12 +40,8 @@ fn bench_key_search(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0xbe_c4);
     let key = KeyPair::from_private(ecdsa.curve(), Scalar::random(&mut rng));
     let z = hash_to_scalar(b"key_search bench");
-    let transcript = loop {
-        let nonce = Scalar::random_with_bit_length(&mut rng, NONCE_BITS);
-        if let Some(t) = ecdsa.sign_with_nonce(&key, &z, nonce) {
-            break t;
-        }
-    };
+    let transcript = ecdsa
+        .sign_with_drawn_nonce(&key, &z, || Scalar::random_with_bit_length(&mut rng, NONCE_BITS));
 
     let mut group = c.benchmark_group("key_search");
     group.sample_size(10);

@@ -18,13 +18,8 @@ fn main() {
         if opts.smoke { 4 } else { llc_bench::env_usize("LLC_SLICES", 8) };
     let machines = [
         ("Skylake-SP", CacheSpec::skylake_sp(slices, 4)),
-        ("Ice Lake-SP", {
-            let mut icx = CacheSpec::ice_lake_sp();
-            // Match the scaled slice count so only associativity differs.
-            icx.llc = llc_cache_model::SlicedGeometry::new(icx.llc.slice_geometry(), slices);
-            icx.sf = llc_cache_model::SlicedGeometry::new(icx.sf.slice_geometry(), slices);
-            icx
-        }),
+        // Match the scaled slice count so only associativity differs.
+        ("Ice Lake-SP", CacheSpec::ice_lake_sp_with(slices, 4)),
     ];
     let algorithms = [Algorithm::Gt, Algorithm::GtOp, Algorithm::BinS];
     // One sweep over every row: the three algorithms of a machine share its

@@ -81,9 +81,7 @@ pub mod experiments;
 pub mod reports;
 pub mod sweeps;
 
-use llc_cache_model::{
-    CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHashSelect,
-};
+use llc_cache_model::{CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHash};
 use llc_fleet::Fleet;
 use llc_machine::{ChurnConfig, Machine, NoiseFidelity, TenantPopulation};
 
@@ -154,10 +152,10 @@ pub struct RunOpts {
     /// Inclusion policy of the simulated hierarchy (`--inclusion`,
     /// `LLC_INCLUSION`; default non-inclusive, the paper's protocol).
     pub inclusion: InclusionPolicy,
-    /// Slice-hash selection (`--slice-hash`, `LLC_SLICE_HASH`).
-    pub slice_hash: SliceHashSelect,
+    /// Slice hash of the LLC and SF (`--slice-hash`, `LLC_SLICE_HASH`).
+    pub slice_hash: SliceHash,
     /// Replacement-policy override for every cache level (`--replacement`,
-    /// `LLC_REPLACEMENT`; `None` keeps each preset's own policies).
+    /// `LLC_REPLACEMENT`; `None` keeps the spec's own policy).
     pub replacement: Option<ReplacementKind>,
     /// Reuse-predictor insertion probability (`LLC_REUSE_P`). Non-zero
     /// values force per-event noise dispatch; report headers show the
@@ -291,7 +289,7 @@ impl RunOpts {
             smoke: true,
             fidelity: NoiseFidelity::Exact,
             inclusion: InclusionPolicy::default(),
-            slice_hash: SliceHashSelect::default(),
+            slice_hash: SliceHash::default(),
             replacement: None,
             reuse_insert_probability: 0.0,
             tenants: TenantPopulation::empty(),
@@ -350,10 +348,9 @@ impl RunOpts {
             spec = spec.with_inclusion(self.inclusion);
             spec.name = format!("{} [{}]", spec.name, self.inclusion.label());
         }
-        if self.slice_hash != SliceHashSelect::default() {
-            let label = self.slice_hash.label();
-            spec = spec.with_slice_hash_select(self.slice_hash.clone());
-            spec.name = format!("{} [slice hash: {label}]", spec.name);
+        if self.slice_hash != SliceHash::default() {
+            spec.hierarchy.slice_hash = self.slice_hash;
+            spec.name = format!("{} [slice hash: {}]", spec.name, self.slice_hash.label());
         }
         if let Some(kind) = self.replacement {
             spec = spec.with_replacement(kind);
@@ -422,8 +419,8 @@ fn parse_inclusion(what: &str, v: &str) -> Result<InclusionPolicy, String> {
     })
 }
 
-fn parse_slice_hash(what: &str, v: &str) -> Result<SliceHashSelect, String> {
-    SliceHashSelect::parse(v)
+fn parse_slice_hash(what: &str, v: &str) -> Result<SliceHash, String> {
+    SliceHash::parse(v)
         .ok_or_else(|| format!("{what} expects 'xor-fold' or 'modulo', got {v:?}"))
 }
 
@@ -582,7 +579,7 @@ mod tests {
     fn run_opts_parse_hierarchy_forms() {
         let o = RunOpts::from_args(["--inclusion", "inclusive", "--slice-hash=modulo"]).unwrap();
         assert_eq!(o.inclusion, InclusionPolicy::Inclusive);
-        assert_eq!(o.slice_hash, SliceHashSelect::Modulo);
+        assert_eq!(o.slice_hash, SliceHash::Modulo);
         let o = RunOpts::from_args(["--inclusion=x", "--replacement", "srrip"]).unwrap();
         assert_eq!(o.inclusion, InclusionPolicy::Exclusive);
         assert_eq!(o.replacement, Some(ReplacementKind::Srrip));
@@ -599,15 +596,14 @@ mod tests {
 
         let scenario = RunOpts {
             inclusion: InclusionPolicy::Inclusive,
-            slice_hash: SliceHashSelect::Modulo,
+            slice_hash: SliceHash::Modulo,
             replacement: Some(ReplacementKind::Srrip),
             ..RunOpts::smoke_with_threads(1)
         };
         let spec = scenario.spec();
         assert_eq!(spec.hierarchy.inclusion, InclusionPolicy::Inclusive);
-        assert_eq!(spec.hierarchy.slice_hash, SliceHashSelect::Modulo);
-        assert_eq!(spec.private_replacement, ReplacementKind::Srrip);
-        assert_eq!(spec.shared_replacement, ReplacementKind::Srrip);
+        assert_eq!(spec.hierarchy.slice_hash, SliceHash::Modulo);
+        assert_eq!(spec.hierarchy.replacement, ReplacementKind::Srrip);
         assert!(spec.name.contains("[inclusive]"), "name: {}", spec.name);
         assert!(spec.name.contains("[slice hash: modulo]"), "name: {}", spec.name);
         assert!(spec.name.contains("[replacement: srrip]"), "name: {}", spec.name);

@@ -27,9 +27,7 @@ use crate::RunOpts;
 use llc_campaign::{
     CampaignSpec, CellAggregate, CellSpec, QuarantineRecord, TrialOutcome, TrialSource,
 };
-use llc_cache_model::{
-    CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHashSelect,
-};
+use llc_cache_model::{CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHash};
 use llc_evsets::{oracle, EvsetBuilder, EvsetConfig, TargetCache};
 use llc_fleet::{stream_seed, TrialCtx};
 use llc_machine::{
@@ -237,23 +235,18 @@ pub fn build_preset(name: &str, opts: &RunOpts) -> Option<SweepPreset> {
 fn table3_sweep(opts: &RunOpts) -> SweepPreset {
     let inclusions =
         [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive];
-    let slice_hashes = [SliceHashSelect::XorFold, SliceHashSelect::Modulo];
+    let slice_hashes = [SliceHash::XorFold, SliceHash::Modulo];
     let replacements = [None, Some(ReplacementKind::Srrip)];
     let algorithms = [Algorithm::Gt, Algorithm::GtOp, Algorithm::BinS];
 
     let mut cells = Vec::new();
     for inclusion in inclusions {
-        for slice_hash in &slice_hashes {
+        for slice_hash in slice_hashes {
             for replacement in replacements {
                 // Reuse the binaries' scenario plumbing so cell specs (and
                 // their report names) match what `table3 --inclusion ...`
                 // would build.
-                let scenario = RunOpts {
-                    inclusion,
-                    slice_hash: slice_hash.clone(),
-                    replacement,
-                    ..opts.clone()
-                };
+                let scenario = RunOpts { inclusion, slice_hash, replacement, ..opts.clone() };
                 let spec = scenario.spec();
                 for algorithm in algorithms {
                     cells.push(SweepCell {

@@ -12,7 +12,6 @@ use crate::geometry::{CacheGeometry, SlicedGeometry};
 use crate::replacement::ReplacementKind;
 use crate::set::{Entry, SetArena, SetView, SetViewMut};
 use crate::slice::SliceHash;
-use std::sync::Arc;
 
 /// A non-sliced cache (L1 or L2): a [`SetArena`] indexed by the
 /// physical-address set-index bits.
@@ -114,27 +113,18 @@ impl<T: Copy + Default> Cache<T> {
 #[derive(Debug, Clone)]
 pub struct SlicedCache<T> {
     geometry: SlicedGeometry,
-    hash: Arc<dyn SliceHash>,
+    hash: SliceHash,
     arena: SetArena<T>,
 }
 
 impl<T: Copy + Default> SlicedCache<T> {
     /// Creates an empty sliced cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice hash's slice count differs from the geometry's.
     pub fn new(
         geometry: SlicedGeometry,
-        hash: Arc<dyn SliceHash>,
+        hash: SliceHash,
         repl: ReplacementKind,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            geometry.num_slices(),
-            hash.num_slices(),
-            "slice hash and geometry disagree on the number of slices"
-        );
         let sets_per_slice = geometry.slice_geometry().sets();
         // Per-set RNG seed derivation unchanged from the per-set era
         // (slice * 100_003 + set), so random-replacement streams replay
@@ -154,7 +144,10 @@ impl<T: Copy + Default> SlicedCache<T> {
 
     /// The (slice, set) location of a physical line.
     pub fn location(&self, line: LineAddr) -> SetLocation {
-        SetLocation { slice: self.hash.slice_of(line), set: self.geometry.set_index(line) }
+        SetLocation {
+            slice: self.hash.slice_of(line, self.geometry.num_slices()),
+            set: self.geometry.set_index(line),
+        }
     }
 
     /// Flattens a location into the arena's set index.
@@ -342,7 +335,6 @@ impl SharedGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{ModuloSliceHash, XorFoldSliceHash};
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_line_number(n)
@@ -361,9 +353,9 @@ mod tests {
 
     #[test]
     fn sliced_cache_routes_by_hash() {
-        let hash = Arc::new(ModuloSliceHash::new(4));
         let geom = SlicedGeometry::new(CacheGeometry::new(8, 2), 4);
-        let mut c: SlicedCache<u8> = SlicedCache::new(geom, hash, ReplacementKind::Lru, 0);
+        let mut c: SlicedCache<u8> =
+            SlicedCache::new(geom, SliceHash::Modulo, ReplacementKind::Lru, 0);
         // line 5 -> slice 1 (5 % 4), set 5.
         c.insert(line(5), 42);
         assert_eq!(c.location(line(5)), SetLocation::new(1, 5));
@@ -374,9 +366,9 @@ mod tests {
 
     #[test]
     fn insert_at_targets_explicit_location() {
-        let hash = Arc::new(XorFoldSliceHash::new(4));
         let geom = SlicedGeometry::new(CacheGeometry::new(8, 2), 4);
-        let mut c: SlicedCache<()> = SlicedCache::new(geom, hash, ReplacementKind::Lru, 7);
+        let mut c: SlicedCache<()> =
+            SlicedCache::new(geom, SliceHash::XorFold, ReplacementKind::Lru, 7);
         let loc = SetLocation::new(3, 5);
         c.insert_at(loc, line(1 << 40), ());
         assert_eq!(c.occupancy(loc), 1);
@@ -410,13 +402,5 @@ mod tests {
             (0..16).filter_map(|i| c.insert(line(i * 2), ()).map(|e| e.line)).collect::<Vec<_>>()
         };
         assert_eq!(evictions(&mut a), evictions(&mut b));
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_slice_count_panics() {
-        let hash = Arc::new(ModuloSliceHash::new(2));
-        let geom = SlicedGeometry::new(CacheGeometry::new(8, 2), 4);
-        let _c: SlicedCache<()> = SlicedCache::new(geom, hash, ReplacementKind::Lru, 0);
     }
 }

@@ -3,21 +3,18 @@
 //! The paper demonstrates its attack on one microarchitectural point — a
 //! sliced *non-inclusive* LLC with a snoop-filter directory — but the
 //! feasibility question is parametric in the hierarchy. [`HierarchyConfig`]
-//! makes that composition data instead of code: the inclusion policy, the
-//! slice hash, the per-level replacement policy and the SF/directory
-//! geometry are all fields of the [`CacheSpec`], so a "new scenario" is a
-//! config struct, not a fork of the simulator (see DESIGN.md, "Hierarchy
-//! composition").
+//! makes that composition three plain values of the [`CacheSpec`]: the
+//! inclusion policy, the [`SliceHash`] and one [`ReplacementKind`] for
+//! every level. The geometries, the SF's included, are the spec's own
+//! fields. A "new scenario" is a config value, not a fork of the simulator
+//! (see DESIGN.md, "Hierarchy composition").
 //!
 //! The default configuration reproduces the paper's Skylake-SP protocol
 //! bit-identically — every golden experiment output pins this.
 
-use std::sync::Arc;
-
-use crate::geometry::SlicedGeometry;
 use crate::presets::CacheSpec;
 use crate::replacement::ReplacementKind;
-use crate::slice::{ModuloSliceHash, SliceHash, XorFoldSliceHash};
+use crate::slice::SliceHash;
 
 /// Which inclusion property the shared LLC maintains with respect to the
 /// private L1/L2 caches.
@@ -73,112 +70,19 @@ impl InclusionPolicy {
     }
 }
 
-/// Which slice-hash function routes physical lines to LLC/SF slices.
-///
-/// The two named variants cover the realistic case (an opaque
-/// complex-addressing hash, [`XorFoldSliceHash`]) and the fully predictable
-/// case used to study what an attacker gains from knowing the hash
-/// ([`ModuloSliceHash`]); `Custom` accepts any user-provided
-/// [`SliceHash`] implementation.
-#[derive(Debug, Clone, Default)]
-pub enum SliceHashSelect {
-    /// The default XOR-fold + multiply-shift hash ([`XorFoldSliceHash`]).
-    #[default]
-    XorFold,
-    /// Low-bits modulo hash ([`ModuloSliceHash`]): trivially predictable.
-    Modulo,
-    /// A caller-supplied hash; its `num_slices()` must match the spec's
-    /// LLC slice count.
-    Custom(Arc<dyn SliceHash>),
-}
-
-impl PartialEq for SliceHashSelect {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Self::XorFold, Self::XorFold) | (Self::Modulo, Self::Modulo) => true,
-            (Self::Custom(a), Self::Custom(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-impl SliceHashSelect {
-    /// Parses a CLI/env spelling (`xor-fold`, `modulo`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "xor-fold" | "xorfold" => Some(Self::XorFold),
-            "modulo" | "mod" => Some(Self::Modulo),
-            _ => None,
-        }
-    }
-
-    /// Canonical spelling of the selection (custom hashes report their
-    /// `Debug` type on the machine spec instead).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::XorFold => "xor-fold",
-            Self::Modulo => "modulo",
-            Self::Custom(_) => "custom",
-        }
-    }
-
-    /// Instantiates the selected hash for `num_slices` slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `Custom` hash disagrees with `num_slices` — a mismatch
-    /// would silently route lines to out-of-range slices.
-    pub fn build(&self, num_slices: usize) -> Arc<dyn SliceHash> {
-        match self {
-            Self::XorFold => Arc::new(XorFoldSliceHash::new(num_slices)),
-            Self::Modulo => Arc::new(ModuloSliceHash::new(num_slices)),
-            Self::Custom(hash) => {
-                assert_eq!(
-                    hash.num_slices(),
-                    num_slices,
-                    "custom slice hash must cover the spec's slice count"
-                );
-                Arc::clone(hash)
-            }
-        }
-    }
-}
-
-/// Per-level replacement-policy overrides.
-///
-/// `None` inherits the spec-wide default ([`CacheSpec::private_replacement`]
-/// for L1/L2, [`CacheSpec::shared_replacement`] for LLC/SF), so a default
-/// `LevelReplacement` changes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LevelReplacement {
-    /// Replacement policy of every core's L1.
-    pub l1: Option<ReplacementKind>,
-    /// Replacement policy of every core's L2.
-    pub l2: Option<ReplacementKind>,
-    /// Replacement policy of the LLC slices.
-    pub llc: Option<ReplacementKind>,
-    /// Replacement policy of the SF slices.
-    pub sf: Option<ReplacementKind>,
-}
-
-/// Composition of the simulated hierarchy: inclusion policy, slice hash,
-/// per-level replacement and directory geometry.
+/// Composition of the simulated hierarchy: inclusion policy, slice hash and
+/// the replacement policy of every level.
 ///
 /// Carried by [`CacheSpec::hierarchy`]; the default value reproduces the
 /// paper's machine bit-identically.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HierarchyConfig {
     /// LLC inclusion policy.
     pub inclusion: InclusionPolicy,
-    /// Slice-hash selection for the LLC and SF.
-    pub slice_hash: SliceHashSelect,
-    /// Per-level replacement overrides.
-    pub replacement: LevelReplacement,
-    /// Overrides the spec's SF/directory geometry (e.g. to study directory
-    /// size). Must keep the LLC's slice and per-slice set counts — the
-    /// shared-location fast path depends on the two structures being
-    /// parallel arrays.
-    pub sf_geometry: Option<SlicedGeometry>,
+    /// Slice hash of the LLC and SF.
+    pub slice_hash: SliceHash,
+    /// Replacement policy of L1, L2, LLC and SF.
+    pub replacement: ReplacementKind,
 }
 
 impl CacheSpec {
@@ -188,39 +92,9 @@ impl CacheSpec {
         self
     }
 
-    /// Returns the spec with the given slice-hash selection.
-    pub fn with_slice_hash_select(mut self, select: SliceHashSelect) -> Self {
-        self.hierarchy.slice_hash = select;
-        self
-    }
-
     /// Returns the spec with every level using `kind` for replacement.
     pub fn with_replacement(mut self, kind: ReplacementKind) -> Self {
-        self.private_replacement = kind;
-        self.shared_replacement = kind;
-        self.hierarchy.replacement = LevelReplacement::default();
-        self
-    }
-
-    /// Returns the spec with per-level replacement overrides.
-    pub fn with_level_replacement(mut self, levels: LevelReplacement) -> Self {
-        self.hierarchy.replacement = levels;
-        self
-    }
-
-    /// Returns the spec with an overridden SF/directory geometry.
-    pub fn with_sf_geometry(mut self, geometry: SlicedGeometry) -> Self {
-        self.sf = geometry;
-        self.hierarchy.sf_geometry = Some(geometry);
-        self
-    }
-
-    /// Returns the spec with a complete hierarchy composition.
-    pub fn with_hierarchy(mut self, config: HierarchyConfig) -> Self {
-        if let Some(geometry) = config.sf_geometry {
-            self.sf = geometry;
-        }
-        self.hierarchy = config;
+        self.hierarchy.replacement = kind;
         self
     }
 }
@@ -228,15 +102,15 @@ impl CacheSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::CacheGeometry;
+    use crate::addr::LineAddr;
+    use crate::hierarchy::Hierarchy;
 
     #[test]
     fn default_config_is_non_inclusive_xor_fold() {
         let config = HierarchyConfig::default();
         assert_eq!(config.inclusion, InclusionPolicy::NonInclusive);
-        assert_eq!(config.slice_hash, SliceHashSelect::XorFold);
-        assert_eq!(config.replacement, LevelReplacement::default());
-        assert!(config.sf_geometry.is_none());
+        assert_eq!(config.slice_hash, SliceHash::XorFold);
+        assert_eq!(config.replacement, ReplacementKind::Lru);
     }
 
     #[test]
@@ -251,58 +125,48 @@ mod tests {
 
     #[test]
     fn slice_hash_parse_round_trips() {
-        for select in [SliceHashSelect::XorFold, SliceHashSelect::Modulo] {
-            assert_eq!(SliceHashSelect::parse(select.label()), Some(select.clone()));
+        for hash in [SliceHash::XorFold, SliceHash::Modulo] {
+            assert_eq!(SliceHash::parse(hash.label()), Some(hash));
         }
-        assert_eq!(SliceHashSelect::parse("custom"), None);
-    }
-
-    #[test]
-    fn custom_slice_hash_compares_by_identity() {
-        let a: Arc<dyn SliceHash> = Arc::new(ModuloSliceHash::new(4));
-        let same = SliceHashSelect::Custom(Arc::clone(&a));
-        let other = SliceHashSelect::Custom(Arc::new(ModuloSliceHash::new(4)));
-        assert_eq!(SliceHashSelect::Custom(a.clone()), same);
-        assert_ne!(SliceHashSelect::Custom(a), other);
+        assert_eq!(SliceHash::parse(" XorFold "), Some(SliceHash::XorFold));
+        assert_eq!(SliceHash::parse("mod"), Some(SliceHash::Modulo));
+        assert_eq!(SliceHash::parse("custom"), None);
     }
 
     #[test]
     fn build_respects_selection() {
-        assert_eq!(SliceHashSelect::XorFold.build(28).num_slices(), 28);
-        assert_eq!(SliceHashSelect::Modulo.build(26).num_slices(), 26);
-        let custom: Arc<dyn SliceHash> = Arc::new(ModuloSliceHash::new(8));
-        assert_eq!(SliceHashSelect::Custom(custom).build(8).num_slices(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "custom slice hash")]
-    fn build_rejects_mismatched_custom_hash() {
-        let custom: Arc<dyn SliceHash> = Arc::new(ModuloSliceHash::new(8));
-        let _ = SliceHashSelect::Custom(custom).build(9);
+        // A hierarchy routes its shared structures through the spec's hash.
+        for hash in [SliceHash::XorFold, SliceHash::Modulo] {
+            let mut spec = CacheSpec::tiny_test();
+            spec.hierarchy.slice_hash = hash;
+            let slices = spec.llc.num_slices();
+            let h = Hierarchy::new(spec, 0);
+            for n in 0..256 {
+                let line = LineAddr::from_line_number(n * 977);
+                assert_eq!(h.shared_location(line).slice, hash.slice_of(line, slices));
+            }
+        }
     }
 
     #[test]
     fn spec_builders_compose() {
-        let sf = SlicedGeometry::new(CacheGeometry::new(32, 7), 2);
         let spec = CacheSpec::tiny_test()
             .with_inclusion(InclusionPolicy::Inclusive)
-            .with_slice_hash_select(SliceHashSelect::Modulo)
-            .with_level_replacement(LevelReplacement {
-                llc: Some(ReplacementKind::Qlru),
-                ..LevelReplacement::default()
-            })
-            .with_sf_geometry(sf);
-        assert_eq!(spec.hierarchy.inclusion, InclusionPolicy::Inclusive);
-        assert_eq!(spec.hierarchy.slice_hash, SliceHashSelect::Modulo);
-        assert_eq!(spec.hierarchy.replacement.llc, Some(ReplacementKind::Qlru));
-        assert_eq!(spec.sf, sf);
-        assert_eq!(spec.hierarchy.sf_geometry, Some(sf));
+            .with_replacement(ReplacementKind::Qlru);
+        assert_eq!(
+            spec.hierarchy,
+            HierarchyConfig {
+                inclusion: InclusionPolicy::Inclusive,
+                slice_hash: SliceHash::XorFold,
+                replacement: ReplacementKind::Qlru,
+            }
+        );
     }
 
     #[test]
     fn with_replacement_sets_every_level() {
         let spec = CacheSpec::tiny_test().with_replacement(ReplacementKind::TreePlru);
-        assert_eq!(spec.private_replacement, ReplacementKind::TreePlru);
-        assert_eq!(spec.shared_replacement, ReplacementKind::TreePlru);
+        // One field is every level's policy (L1, L2, LLC and SF).
+        assert_eq!(spec.hierarchy.replacement, ReplacementKind::TreePlru);
     }
 }

@@ -24,10 +24,8 @@
 
 use crate::addr::LineAddr;
 use crate::cache::{Cache, SetLocation, SharedGeometry, SlicedCache};
-use crate::config::InclusionPolicy;
+use crate::config::{HierarchyConfig, InclusionPolicy};
 use crate::presets::CacheSpec;
-use crate::slice::SliceHash;
-use std::sync::Arc;
 
 /// Coherence state of a line in a private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +151,6 @@ impl Default for HierarchyOptions {
 pub struct Hierarchy {
     spec: CacheSpec,
     options: HierarchyOptions,
-    policy: InclusionPolicy,
-    slice_hash: Arc<dyn SliceHash>,
     l1: Vec<Cache<PrivLine>>,
     l2: Vec<Cache<PrivLine>>,
     llc: SlicedCache<LlcLine>,
@@ -185,19 +181,9 @@ fn core_mask(cores: usize) -> u64 {
 
 impl Hierarchy {
     /// Creates an empty hierarchy for `spec`, composed according to
-    /// `spec.hierarchy` (inclusion policy, slice-hash selection, per-level
-    /// replacement overrides and SF geometry).
+    /// `spec.hierarchy`: its inclusion policy, its slice hash for the LLC
+    /// and SF, and its replacement policy at every level.
     pub fn new(spec: CacheSpec, seed: u64) -> Self {
-        let hash = spec.hierarchy.slice_hash.build(spec.llc.num_slices());
-        Self::with_slice_hash(spec, hash, seed)
-    }
-
-    /// Creates an empty hierarchy with a caller-supplied slice hash
-    /// (overriding `spec.hierarchy.slice_hash`).
-    pub fn with_slice_hash(mut spec: CacheSpec, hash: Arc<dyn SliceHash>, seed: u64) -> Self {
-        if let Some(geometry) = spec.hierarchy.sf_geometry {
-            spec.sf = geometry;
-        }
         // The access path computes one shared (slice, set) location and uses
         // it for both the LLC and the SF, which is only sound while the two
         // structures share slice count and per-slice set count (true of
@@ -212,25 +198,18 @@ impl Hierarchy {
             spec.sf.slice_geometry().sets(),
             "LLC and SF must have the same per-slice set count"
         );
-        let levels = spec.hierarchy.replacement;
-        let l1_repl = levels.l1.unwrap_or(spec.private_replacement);
-        let l2_repl = levels.l2.unwrap_or(spec.private_replacement);
-        let llc_repl = levels.llc.unwrap_or(spec.shared_replacement);
-        let sf_repl = levels.sf.unwrap_or(spec.shared_replacement);
+        let HierarchyConfig { slice_hash, replacement, .. } = spec.hierarchy;
         let l1 = (0..spec.cores)
-            .map(|c| Cache::new(spec.l1, l1_repl, seed ^ (c as u64) << 8))
+            .map(|c| Cache::new(spec.l1, replacement, seed ^ (c as u64) << 8))
             .collect();
         let l2 = (0..spec.cores)
-            .map(|c| Cache::new(spec.l2, l2_repl, seed ^ (c as u64) << 16))
+            .map(|c| Cache::new(spec.l2, replacement, seed ^ (c as u64) << 16))
             .collect();
-        let llc = SlicedCache::new(spec.llc, Arc::clone(&hash), llc_repl, seed ^ 0xaa);
-        let sf = SlicedCache::new(spec.sf, Arc::clone(&hash), sf_repl, seed ^ 0x55);
-        let policy = spec.hierarchy.inclusion;
+        let llc = SlicedCache::new(spec.llc, slice_hash, replacement, seed ^ 0xaa);
+        let sf = SlicedCache::new(spec.sf, slice_hash, replacement, seed ^ 0x55);
         Self {
             spec,
             options: HierarchyOptions::default(),
-            policy,
-            slice_hash: hash,
             l1,
             l2,
             llc,
@@ -256,7 +235,6 @@ impl Hierarchy {
     pub fn restore_from(&mut self, source: &Hierarchy) {
         debug_assert_eq!(self.spec, source.spec, "snapshot specification mismatch");
         self.options = source.options;
-        self.policy = source.policy;
         for (dst, src) in self.l1.iter_mut().zip(&source.l1) {
             dst.restore_from(src);
         }
@@ -274,14 +252,10 @@ impl Hierarchy {
         &self.spec
     }
 
-    /// The slice hash shared by the LLC and SF.
-    pub fn slice_hash(&self) -> &Arc<dyn SliceHash> {
-        &self.slice_hash
-    }
-
     /// The inclusion policy this hierarchy was composed with.
+    #[inline]
     pub fn inclusion(&self) -> InclusionPolicy {
-        self.policy
+        self.spec.hierarchy.inclusion
     }
 
     /// Number of cores.
@@ -380,7 +354,7 @@ impl Hierarchy {
 
         // Shared stage: which structure backs the line, and how it moves
         // into the private caches, is the inclusion policy.
-        match self.policy {
+        match self.inclusion() {
             InclusionPolicy::NonInclusive => self.shared_stage_non_inclusive(core, line, loc, kind),
             InclusionPolicy::Inclusive => self.shared_stage_inclusive(core, line, loc, kind),
             InclusionPolicy::Exclusive => self.shared_stage_exclusive(core, line, loc, kind),
@@ -555,7 +529,7 @@ impl Hierarchy {
         level: HitLevel,
     ) -> AccessOutcome {
         let mut displaced = false;
-        match self.policy {
+        match self.inclusion() {
             InclusionPolicy::NonInclusive => {
                 // The Shared line leaves the LLC and becomes a tracked
                 // private Modified line.
@@ -617,7 +591,7 @@ impl Hierarchy {
     pub fn noise_access(&mut self, loc: SetLocation, shared: bool) {
         self.noise_counter += 1;
         let synthetic = LineAddr::from_line_number(NOISE_LINE_BASE + self.noise_counter);
-        match self.policy {
+        match self.inclusion() {
             InclusionPolicy::NonInclusive => {
                 if shared {
                     if let Some(evicted) = self.llc.insert_at(loc, synthetic, LlcLine) {
@@ -680,7 +654,7 @@ impl Hierarchy {
         // noise paths are not hot in any golden workload) and for the reuse
         // predictor, whose SF→LLC re-insertions genuinely interleave the
         // structures mid-burst.
-        if self.policy != InclusionPolicy::NonInclusive
+        if self.inclusion() != InclusionPolicy::NonInclusive
             || self.options.reuse_insert_probability > 0.0
         {
             self.noise_access(loc, first);
@@ -776,11 +750,11 @@ impl Hierarchy {
         // no SF so every event contends in the LLC; exclusive hierarchies
         // drop LLC victims without back-invalidation (an LLC-resident line
         // has no private copies).
-        let (llc_fills, sf_fills) = match self.policy {
+        let (llc_fills, sf_fills) = match self.inclusion() {
             InclusionPolicy::NonInclusive | InclusionPolicy::Exclusive => (llc_fills, sf_fills),
             InclusionPolicy::Inclusive => (llc_fills + sf_fills, 0),
         };
-        let llc_backinvalidates = self.policy != InclusionPolicy::Exclusive;
+        let llc_backinvalidates = self.inclusion() != InclusionPolicy::Exclusive;
         {
             let counter = &mut self.noise_counter;
             let mut llc_view = self.llc.set_view_mut(loc);
@@ -943,7 +917,7 @@ impl Hierarchy {
     }
 
     fn handle_l2_eviction(&mut self, core: CoreId, line: LineAddr, payload: PrivLine) {
-        match self.policy {
+        match self.inclusion() {
             InclusionPolicy::NonInclusive => match payload.state {
                 CoherenceState::Shared => {
                     // The LLC still holds the line; nothing to do. A stale
@@ -1016,7 +990,7 @@ impl Hierarchy {
         // entirely (write back to memory), never into the LLC — an exclusive
         // LLC only fills on private-cache evictions. The reuse predictor is a
         // non-inclusive-specific behaviour (Section 2.3).
-        if self.policy == InclusionPolicy::NonInclusive && self.reuse_predictor_fires() {
+        if self.inclusion() == InclusionPolicy::NonInclusive && self.reuse_predictor_fires() {
             self.insert_llc(line);
         }
     }
@@ -1059,7 +1033,7 @@ impl Hierarchy {
     /// which no real non-inclusive hierarchy exhibits for actively-used lines
     /// and which would make every `TestEviction`-based algorithm misbehave.
     fn refresh_backing_recency_at(&mut self, loc: SetLocation, line: LineAddr, state: CoherenceState) {
-        match self.policy {
+        match self.inclusion() {
             InclusionPolicy::NonInclusive => match state {
                 CoherenceState::Shared => {
                     let _ = self.llc.lookup_at(loc, line);

@@ -49,7 +49,7 @@ pub use addr::{
     LineAddr, PhysAddr, VirtAddr, LINES_PER_PAGE, LINE_BITS, LINE_SIZE, PAGE_BITS, PAGE_SIZE,
 };
 pub use cache::{Cache, SetLocation, SharedGeometry, SlicedCache};
-pub use config::{HierarchyConfig, InclusionPolicy, LevelReplacement, SliceHashSelect};
+pub use config::{HierarchyConfig, InclusionPolicy};
 pub use geometry::{CacheGeometry, SlicedGeometry};
 pub use hierarchy::{
     AccessKind, AccessOutcome, CoherenceState, CoreId, Hierarchy, HierarchyOptions, HitLevel,
@@ -59,4 +59,4 @@ pub use paging::{AddressSpace, TranslateError};
 pub use presets::CacheSpec;
 pub use replacement::ReplacementKind;
 pub use set::{Entry, SetArena, SetView, SetViewMut};
-pub use slice::{ModuloSliceHash, SliceHash, XorFoldSliceHash};
+pub use slice::SliceHash;

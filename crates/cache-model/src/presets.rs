@@ -6,15 +6,22 @@
 //! | `CacheSpec::skylake_sp_local` | Intel Xeon Gold 6152 (local) | 22 | 12 | 16 |
 //! | `CacheSpec::ice_lake_sp` | Intel Xeon Gold 5320 | 26 | 16 | 20 |
 //!
-//! The named presets (and `CacheSpec::skylake_sp(slices, cores)`) are gated
-//! by the `skylake` / `icelake` cargo features, both on by default;
-//! `CacheSpec::tiny_test` and the geometry types stay available regardless.
-//! The table uses plain code spans rather than intra-doc links so
-//! `--no-default-features` docs stay warning-free.
+//! The named presets (and `CacheSpec::skylake_sp(slices, cores)`,
+//! `CacheSpec::ice_lake_sp_with(slices, cores)`) are gated by the `skylake`
+//! / `icelake` cargo features, both on by default; `CacheSpec::tiny_test`
+//! and the geometry types stay available regardless. The table uses plain
+//! code spans rather than intra-doc links so `--no-default-features` docs
+//! stay warning-free.
+//!
+//! Every preset takes the default [`HierarchyConfig`]: the paper's
+//! non-inclusive protocol, the XOR-fold slice hash and true LRU at every
+//! level. True LRU keeps TestEviction's "W distinct congruent lines evict
+//! the target" property exact; the other policies remain available through
+//! [`CacheSpec::with_replacement`] for the replacement-sensitivity ablation
+//! described in DESIGN.md.
 
 use crate::config::HierarchyConfig;
 use crate::geometry::{CacheGeometry, SlicedGeometry};
-use crate::replacement::ReplacementKind;
 
 /// Full description of a simulated CPU's cache hierarchy (Table 2).
 #[derive(Debug, Clone, PartialEq)]
@@ -31,16 +38,11 @@ pub struct CacheSpec {
     pub llc: SlicedGeometry,
     /// Sliced snoop-filter geometry (same sets/slices as the LLC, more ways).
     pub sf: SlicedGeometry,
-    /// Replacement policy used by L1 and L2.
-    pub private_replacement: ReplacementKind,
-    /// Replacement policy used by the LLC and SF.
-    pub shared_replacement: ReplacementKind,
     /// Nominal core frequency in GHz, used to convert cycles to seconds.
     pub freq_ghz: f64,
-    /// Hierarchy composition: inclusion policy, slice hash, per-level
-    /// replacement overrides and directory geometry. The default reproduces
-    /// the paper's non-inclusive protocol bit-identically; see the
-    /// [`HierarchyConfig`] builder methods.
+    /// Hierarchy composition: inclusion policy, slice hash and the
+    /// replacement policy of every level. The default reproduces the
+    /// paper's non-inclusive protocol bit-identically.
     pub hierarchy: HierarchyConfig,
 }
 
@@ -60,12 +62,6 @@ impl CacheSpec {
             l2: CacheGeometry::new(1024, 16),
             llc: SlicedGeometry::new(llc_slice, num_slices),
             sf: SlicedGeometry::new(sf_slice, num_slices),
-            // True LRU keeps TestEviction's "W distinct congruent lines evict
-            // the target" property exact; the Tree-PLRU and SRRIP policies
-            // remain available through `ReplacementKind` for the
-            // replacement-sensitivity ablation described in DESIGN.md.
-            private_replacement: ReplacementKind::Lru,
-            shared_replacement: ReplacementKind::Lru,
             freq_ghz: 2.0,
             hierarchy: HierarchyConfig::default(),
         }
@@ -100,8 +96,6 @@ impl CacheSpec {
             l2: CacheGeometry::new(1024, 20),
             llc: SlicedGeometry::new(llc_slice, num_slices),
             sf: SlicedGeometry::new(sf_slice, num_slices),
-            private_replacement: ReplacementKind::Lru,
-            shared_replacement: ReplacementKind::Lru,
             freq_ghz: 2.2,
             hierarchy: HierarchyConfig::default(),
         }
@@ -124,8 +118,6 @@ impl CacheSpec {
             l2: CacheGeometry::new(16, 8),
             llc: SlicedGeometry::new(CacheGeometry::new(32, 4), 2),
             sf: SlicedGeometry::new(CacheGeometry::new(32, 5), 2),
-            private_replacement: ReplacementKind::Lru,
-            shared_replacement: ReplacementKind::Lru,
             freq_ghz: 2.0,
             hierarchy: HierarchyConfig::default(),
         }
@@ -152,7 +144,8 @@ impl CacheSpec {
     }
 }
 
-#[cfg(test)]
+// Every test here exercises a feature-gated preset.
+#[cfg(all(test, any(feature = "skylake", feature = "icelake")))]
 mod tests {
     use super::*;
 

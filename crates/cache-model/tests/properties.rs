@@ -2,7 +2,7 @@
 
 use llc_cache_model::{
     AccessKind, AddressSpace, CacheGeometry, CacheSpec, Hierarchy, LineAddr, ReplacementKind,
-    SliceHash, VirtAddr, XorFoldSliceHash, PAGE_SIZE,
+    SliceHash, VirtAddr, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -22,15 +22,16 @@ proptest! {
         }
     }
 
-    /// The slice hash is a pure function and always lands in range.
+    /// Both slice hashes are pure functions and always land in range.
     #[test]
     fn slice_hash_pure_and_in_range(lines in prop::collection::vec(any::<u64>(), 1..128), slices in 1usize..33) {
-        let h = XorFoldSliceHash::new(slices);
-        for n in lines {
-            let line = LineAddr::from_line_number(n);
-            let s = h.slice_of(line);
-            prop_assert!(s < slices);
-            prop_assert_eq!(s, h.slice_of(line));
+        for h in [SliceHash::XorFold, SliceHash::Modulo] {
+            for &n in &lines {
+                let line = LineAddr::from_line_number(n);
+                let s = h.slice_of(line, slices);
+                prop_assert!(s < slices);
+                prop_assert_eq!(s, h.slice_of(line, slices));
+            }
         }
     }
 

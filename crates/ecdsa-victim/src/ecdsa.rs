@@ -85,6 +85,12 @@ fn field_element_to_scalar(x: &crate::gf2m::Gf571) -> Scalar {
     Scalar::new(U576::from_limbs(limbs))
 }
 
+/// How many nonces [`Ecdsa::sign_with_drawn_nonce`] draws before it gives
+/// up. A drawn nonce gives a degenerate signature (r = 0 or s = 0) with
+/// negligible probability, so with working arithmetic a second draw is
+/// already rare; running out means the field or curve arithmetic is broken.
+const MAX_NONCE_DRAWS: usize = 8;
+
 /// The ECDSA signer/verifier.
 #[derive(Debug, Clone, Default)]
 pub struct Ecdsa {
@@ -107,14 +113,34 @@ impl Ecdsa {
     /// Returns the full transcript, including the nonce and the ladder's
     /// secret-dependent branch trace (the ground truth used by the attack
     /// evaluation).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Ecdsa::sign_with_drawn_nonce`] does.
     pub fn sign(&self, key: &KeyPair, message: &[u8], rng: &mut impl Rng) -> SigningTranscript {
-        let z = hash_to_scalar(message);
-        loop {
-            let nonce = Scalar::random(rng);
-            if let Some(t) = self.sign_with_nonce(key, &z, nonce) {
-                return t;
-            }
-        }
+        self.sign_with_drawn_nonce(key, &hash_to_scalar(message), || Scalar::random(rng))
+    }
+
+    /// Signs a pre-hashed message with the first nonce from `draw_nonce`
+    /// that gives a non-degenerate signature (see [`Ecdsa::sign_with_nonce`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, saying the signature was degenerate, if a small fixed number
+    /// of draws in a row all give degenerate signatures: with working
+    /// arithmetic that does not happen, so broken arithmetic fails here
+    /// instead of looping forever.
+    pub fn sign_with_drawn_nonce(
+        &self,
+        key: &KeyPair,
+        z: &Scalar,
+        mut draw_nonce: impl FnMut() -> Scalar,
+    ) -> SigningTranscript {
+        (0..MAX_NONCE_DRAWS)
+            .find_map(|_| self.sign_with_nonce(key, z, draw_nonce()))
+            .unwrap_or_else(|| {
+                panic!("degenerate signature (r = 0 or s = 0) for {MAX_NONCE_DRAWS} nonce draws")
+            })
     }
 
     /// Signs a pre-hashed message with an explicit nonce; returns `None` if
@@ -232,5 +258,15 @@ mod tests {
         let key = KeyPair::generate(ecdsa.curve(), &mut rng);
         let z = hash_to_scalar(b"m");
         assert!(ecdsa.sign_with_nonce(&key, &z, Scalar::zero()).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate signature")]
+    fn degenerate_draws_panic_instead_of_looping() {
+        let ecdsa = Ecdsa::new();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let key = KeyPair::generate(ecdsa.curve(), &mut rng);
+        let z = hash_to_scalar(b"always zero");
+        ecdsa.sign_with_drawn_nonce(&key, &z, Scalar::zero);
     }
 }

@@ -210,12 +210,9 @@ impl EcdsaVictim {
             let z = crate::ecdsa::hash_to_scalar(&message);
             // Draw nonces at the configured (possibly scaled-down) width so
             // the real signing's ladder matches the scheduled iterations.
-            let transcript = loop {
-                let nonce = Scalar::random_with_bit_length(&mut self.rng, self.config.nonce_bits);
-                if let Some(t) = self.ecdsa.sign_with_nonce(&key, &z, nonce) {
-                    break t;
-                }
-            };
+            let transcript = self.ecdsa.sign_with_drawn_nonce(&key, &z, || {
+                Scalar::random_with_bit_length(&mut self.rng, self.config.nonce_bits)
+            });
             (transcript.ladder_bits.clone(), Some(transcript))
         } else {
             // Draw a nonce of the configured width; the ladder processes the

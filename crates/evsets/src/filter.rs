@@ -88,8 +88,10 @@ pub fn build_l2_eviction_set(
     let algorithm = BinarySearch::new();
     let needed = config.candidate_count(machine.spec(), TargetCache::L2);
     let pool: Vec<VirtAddr> = candidates.iter().copied().take(needed.max(candidates.len().min(needed))).collect();
-    // The L2's Tree-PLRU replacement makes individual attempts less reliable
-    // than on the LRU-managed LLC/SF, so allow a few retries.
+    // An attempt can fail verification: background noise can back-invalidate
+    // candidates out of the L2 mid-test, and under a non-LRU policy
+    // (`--replacement tree-plru`, `srrip`, ...) W congruent lines need not
+    // evict the target. Every preset's L2 is LRU; allow a few retries.
     let mut last_err = EvsetError::VerificationFailed;
     for _ in 0..3 {
         match algorithm.prune(machine, ta, &pool, TargetCache::L2, config, deadline) {

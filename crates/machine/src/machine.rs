@@ -50,7 +50,6 @@ pub struct MachineBuilder {
     spec: CacheSpec,
     noise: NoiseModel,
     fidelity: NoiseFidelity,
-    latency: LatencyModel,
     hierarchy_options: HierarchyOptions,
     tenants: TenantPopulation,
     seed: u64,
@@ -63,7 +62,6 @@ impl MachineBuilder {
             spec,
             noise: NoiseModel::quiescent_local(),
             fidelity: NoiseFidelity::Exact,
-            latency: LatencyModel::default(),
             hierarchy_options: HierarchyOptions::default(),
             tenants: TenantPopulation::empty(),
             seed: 0xC10D_5EED,
@@ -83,12 +81,6 @@ impl MachineBuilder {
     /// several times faster under heavy noise).
     pub fn noise_fidelity(mut self, fidelity: NoiseFidelity) -> Self {
         self.fidelity = fidelity;
-        self
-    }
-
-    /// Sets the latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -136,7 +128,7 @@ impl MachineBuilder {
         host.reseed_tenants(stream_seed(self.seed, RESEED_TENANT_STREAM), 0);
         Machine {
             host,
-            latency: self.latency,
+            latency: LatencyModel::default(),
             clock: 0,
             rng: StdRng::seed_from_u64(self.seed ^ 0x6d61_6368),
             attacker_aspace: AddressSpace::with_seed(self.seed ^ 0xa77a),

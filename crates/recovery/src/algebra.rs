@@ -125,12 +125,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let key = KeyPair::from_private(ecdsa.curve(), Scalar::random(&mut rng));
         let z = hash_to_scalar(b"recovery test message");
-        let transcript = loop {
-            let nonce = Scalar::random_with_bit_length(&mut rng, nonce_bits);
-            if let Some(t) = ecdsa.sign_with_nonce(&key, &z, nonce) {
-                break t;
-            }
-        };
+        let transcript = ecdsa.sign_with_drawn_nonce(&key, &z, || {
+            Scalar::random_with_bit_length(&mut rng, nonce_bits)
+        });
         (ecdsa, key, z, transcript)
     }
 

@@ -233,11 +233,10 @@ mod tests {
         let key = KeyPair::from_private(ecdsa.curve(), Scalar::random(&mut rng));
         let z = hash_to_scalar(b"campaign test");
         let transcripts = (0..4)
-            .map(|_| loop {
-                let nonce = Scalar::random_with_bit_length(&mut rng, NONCE_BITS);
-                if let Some(t) = ecdsa.sign_with_nonce(&key, &z, nonce) {
-                    break t;
-                }
+            .map(|_| {
+                ecdsa.sign_with_drawn_nonce(&key, &z, || {
+                    Scalar::random_with_bit_length(&mut rng, NONCE_BITS)
+                })
             })
             .collect();
         (key, transcripts)

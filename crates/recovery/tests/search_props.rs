@@ -40,12 +40,7 @@ fn victim() -> &'static (Ecdsa, KeyPair, Scalar) {
 fn sign_with_nonce_seed(seed: u64) -> SigningTranscript {
     let (ecdsa, key, z) = victim();
     let mut rng = SmallRng::seed_from_u64(seed);
-    loop {
-        let nonce = Scalar::random_with_bit_length(&mut rng, NONCE_BITS);
-        if let Some(t) = ecdsa.sign_with_nonce(key, z, nonce) {
-            return t;
-        }
-    }
+    ecdsa.sign_with_drawn_nonce(key, z, || Scalar::random_with_bit_length(&mut rng, NONCE_BITS))
 }
 
 /// Builds per-position estimates from the true ladder bits with `erasures`
