@@ -4,6 +4,9 @@
 //! plan compiled once. Both run under quiescent and Cloud Run noise — the
 //! noise-heavy case is where the paper's experiments spend their time, and
 //! where the allocation-free catch-up shows up on top of the plan win.
+//! `plan_probe_disturbed_x1000` is the same plan burst with a `clflush`
+//! before every second probe, which the hierarchy's replay memo can never
+//! serve: it prices the memo's bookkeeping when it does not pay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_bench::experiments::Environment;
@@ -57,6 +60,30 @@ fn bench_plan_traverse(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0u64;
                     for _ in 0..PROBES_PER_ITER {
+                        total += machine.timed_parallel_traverse_plan(&plan);
+                    }
+                    total
+                });
+            },
+        );
+        // The replay memo's worst case: `clflush` the traversal's last line
+        // before every second probe. Each flush leaves the L1 thrash cycle in
+        // a new phase, so no probe's pre-state comes round again while the
+        // memo holds it: every probe saves its pre-state, every second one
+        // records, and none replays.
+        group.bench_with_input(
+            BenchmarkId::new("plan_probe_disturbed_x1000", env.label()),
+            &env,
+            |b, &env| {
+                let (mut machine, addrs) = fixture(env);
+                let plan = machine.compile_plan(&addrs);
+                let last = addrs[addrs.len() - 1];
+                b.iter(|| {
+                    let mut total = 0u64;
+                    for i in 0..PROBES_PER_ITER {
+                        if i % 2 == 0 {
+                            machine.clflush(last);
+                        }
                         total += machine.timed_parallel_traverse_plan(&plan);
                     }
                     total

@@ -18,7 +18,8 @@ use crate::slice::SliceHash;
 #[derive(Debug, Clone)]
 pub struct Cache<T> {
     geometry: CacheGeometry,
-    arena: SetArena<T>,
+    /// Crate-visible for the hierarchy's row saves and loads by set index.
+    pub(crate) arena: SetArena<T>,
 }
 
 impl<T: Copy + Default> Cache<T> {
@@ -114,7 +115,9 @@ impl<T: Copy + Default> Cache<T> {
 pub struct SlicedCache<T> {
     geometry: SlicedGeometry,
     hash: SliceHash,
-    arena: SetArena<T>,
+    /// Crate-visible for the hierarchy's row saves and loads by flat set
+    /// index (`SlicedCache::flat`).
+    pub(crate) arena: SetArena<T>,
 }
 
 impl<T: Copy + Default> SlicedCache<T> {
@@ -152,7 +155,7 @@ impl<T: Copy + Default> SlicedCache<T> {
 
     /// Flattens a location into the arena's set index.
     #[inline]
-    fn flat(&self, loc: SetLocation) -> usize {
+    pub(crate) fn flat(&self, loc: SetLocation) -> usize {
         loc.flat_index(self.geometry.slice_geometry().sets())
     }
 

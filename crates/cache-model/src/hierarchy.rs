@@ -26,6 +26,7 @@ use crate::addr::LineAddr;
 use crate::cache::{Cache, SetLocation, SharedGeometry, SlicedCache};
 use crate::config::{HierarchyConfig, InclusionPolicy};
 use crate::presets::CacheSpec;
+use crate::set::SavedRows;
 
 /// Coherence state of a line in a private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +165,97 @@ pub struct Hierarchy {
     /// borrowed, applied once the burst completes. Contents are dead between
     /// calls; the buffer exists only so noise bursts allocate nothing.
     noise_evictions: Vec<(LineAddr, u64)>,
+}
+
+/// The replay memo of [`Hierarchy::read_traversal`]: the two most recent
+/// traversals whose reads all hit L1 or L2, each with the state of the sets
+/// it touched before and after it, and its serving levels.
+///
+/// The memo is scratch state owned by the caller, never part of a
+/// hierarchy or its clones. An entry is replayed only when the sets it
+/// touched hold exactly its recorded pre-state, so no entry can go stale: a
+/// snapshot restore, noise or another core's access that changed those sets
+/// just makes it miss. Its buffers are reused, so it allocates nothing in
+/// steady state.
+#[derive(Debug)]
+pub struct TraversalMemo {
+    /// The two entries and the buffers of the traversal being simulated,
+    /// which become an entry in place when it is recorded.
+    slots: [MemoEntry; 3],
+    /// The entry replayed or recorded last.
+    last: usize,
+    /// The slot of the traversal being simulated.
+    spare: usize,
+    /// Buffers of debug builds' replay check.
+    #[cfg(debug_assertions)]
+    check: ReplayCheck,
+}
+
+impl Default for TraversalMemo {
+    fn default() -> Self {
+        Self {
+            slots: Default::default(),
+            last: 0,
+            spare: 2,
+            #[cfg(debug_assertions)]
+            check: ReplayCheck::default(),
+        }
+    }
+}
+
+/// Debug builds' replay check (see `Hierarchy::replay_checked`): the
+/// entry's sets before the replay and as the simulation leaves them, and
+/// the simulated levels.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct ReplayCheck {
+    before: Footprint,
+    simulated: Footprint,
+    levels: Vec<HitLevel>,
+}
+
+/// One traversal of a [`TraversalMemo`].
+#[derive(Debug, Default)]
+struct MemoEntry {
+    /// False until the entry holds a recorded traversal.
+    recorded: bool,
+    lines: Vec<LineAddr>,
+    rows: FootprintRows,
+    pre: Footprint,
+    post: Footprint,
+    levels: Vec<HitLevel>,
+}
+
+impl MemoEntry {
+    fn matches(&self, core: CoreId, lines: &[LineAddr]) -> bool {
+        self.recorded && self.rows.core == core && self.lines == lines
+    }
+}
+
+/// The sets a traversal that hits only private caches can touch: the
+/// requesting core's L1 and L2 sets of its lines (distinct set indices, in
+/// first-touch order) and the flat index of its LLC/SF set.
+#[derive(Debug, Default)]
+struct FootprintRows {
+    core: CoreId,
+    l1: Vec<usize>,
+    l2: Vec<usize>,
+    shared: [usize; 1],
+}
+
+/// The saved contents of a traversal's [`FootprintRows`].
+#[derive(Debug, Default, PartialEq)]
+struct Footprint {
+    l1: SavedRows<PrivLine>,
+    l2: SavedRows<PrivLine>,
+    llc: SavedRows<LlcLine>,
+    sf: SavedRows<SfEntry>,
+}
+
+fn push_distinct(rows: &mut Vec<usize>, row: usize) {
+    if !rows.contains(&row) {
+        rows.push(row);
+    }
 }
 
 /// Synthetic noise lines live far above any address the paging module hands
@@ -359,6 +451,147 @@ impl Hierarchy {
             InclusionPolicy::Inclusive => self.shared_stage_inclusive(core, line, loc, kind),
             InclusionPolicy::Exclusive => self.shared_stage_exclusive(core, line, loc, kind),
         }
+    }
+
+    /// Reads `lines` from `core` in order, all of them in the one LLC/SF set
+    /// `loc` (an eviction set being primed or probed), and leaves the
+    /// serving level of each access in `levels`. Returns whether the
+    /// traversal was replayed from `memo`.
+    ///
+    /// The outcome is that of a [`Hierarchy::access_at`] read per line, bit
+    /// for bit. A read that hits `core`'s L1 or L2 touches only that core's
+    /// L1 and L2 sets of the line and the LLC or SF set at `loc`, whose
+    /// entry it refreshes; which of the two depends on the inclusion policy
+    /// and the line's state. Unless the replacement policy draws random
+    /// numbers, those sets' contents decide the whole outcome. So when
+    /// `core` and `lines` match a memo entry and those sets hold exactly the
+    /// entry's recorded pre-state, the entry's post-state and levels are
+    /// written instead of simulated. Otherwise the reads are simulated, and
+    /// the traversal is recorded if every one of them hit L1 or L2. Debug
+    /// builds simulate a replayed traversal as well and assert that the
+    /// replay leaves what the simulation left.
+    pub fn read_traversal(
+        &mut self,
+        core: CoreId,
+        lines: &[LineAddr],
+        loc: SetLocation,
+        memo: &mut TraversalMemo,
+        levels: &mut Vec<HitLevel>,
+    ) -> bool {
+        if self.spec.hierarchy.replacement.uses_rng() {
+            self.read_each(core, lines, loc, levels);
+            return false;
+        }
+        // A probe loop alternates between the two entries (the L1 thrash
+        // cycle has period 2), so the entry not used last is tried first.
+        let other = 3 - memo.last - memo.spare;
+        for i in [other, memo.last] {
+            let entry = &memo.slots[i];
+            if entry.matches(core, lines) && self.footprint_equals(&entry.rows, &entry.pre) {
+                #[cfg(debug_assertions)]
+                self.replay_checked(entry, loc, &mut memo.check);
+                #[cfg(not(debug_assertions))]
+                self.load_footprint(&entry.rows, &entry.post);
+                levels.clear();
+                levels.extend_from_slice(&entry.levels);
+                memo.last = i;
+                return true;
+            }
+        }
+        // The spare slot usually holds this key already: a probe loop re-keys
+        // it only when it moves to another eviction set.
+        let pending = &mut memo.slots[memo.spare];
+        if pending.rows.core != core || pending.lines != lines {
+            pending.lines.clear();
+            pending.lines.extend_from_slice(lines);
+            let rows = &mut pending.rows;
+            rows.core = core;
+            rows.l1.clear();
+            rows.l2.clear();
+            for &line in lines {
+                push_distinct(&mut rows.l1, self.spec.l1.set_index(line));
+                push_distinct(&mut rows.l2, self.spec.l2.set_index(line));
+            }
+        }
+        pending.rows.shared = [self.llc.flat(loc)];
+        self.save_footprint(&pending.rows, &mut pending.pre);
+        self.read_each(core, lines, loc, levels);
+        if levels.iter().all(|&level| level <= HitLevel::L2) {
+            self.save_footprint(&pending.rows, &mut pending.post);
+            pending.levels.clear();
+            pending.levels.extend_from_slice(levels);
+            pending.recorded = true;
+            // The older entry's slot takes the next pending traversal.
+            (memo.last, memo.spare) = (memo.spare, other);
+        }
+        false
+    }
+
+    /// One [`Hierarchy::access_at`] read per line: the simulation that
+    /// [`Hierarchy::read_traversal`] replays.
+    fn read_each(
+        &mut self,
+        core: CoreId,
+        lines: &[LineAddr],
+        loc: SetLocation,
+        levels: &mut Vec<HitLevel>,
+    ) {
+        levels.clear();
+        levels.extend(
+            lines.iter().map(|&line| self.access_at(core, line, loc, AccessKind::Read).level),
+        );
+    }
+
+    /// A replay in debug builds, checked against the simulation. The reads
+    /// are simulated first; then the core's L1 and L2 sets of the lines and
+    /// the LLC and SF set are rewound, the entry's post-state is loaded, and
+    /// those sets and the levels must be what the simulation left. The sets
+    /// are saved and rewound here by code of their own, not by the memo's
+    /// `save_footprint` and `load_footprint`, so an entry that leaves out a
+    /// set the reads touch fails the check instead of being masked by the
+    /// simulation.
+    #[cfg(debug_assertions)]
+    fn replay_checked(&mut self, entry: &MemoEntry, loc: SetLocation, check: &mut ReplayCheck) {
+        let rows = &entry.rows;
+        let (core, shared) = (rows.core, &rows.shared);
+        let save = |h: &Self, out: &mut Footprint| {
+            h.l1[core].arena.save_rows(&rows.l1, &mut out.l1);
+            h.l2[core].arena.save_rows(&rows.l2, &mut out.l2);
+            h.llc.arena.save_rows(shared, &mut out.llc);
+            h.sf.arena.save_rows(shared, &mut out.sf);
+        };
+        save(self, &mut check.before);
+        self.read_each(core, &entry.lines, loc, &mut check.levels);
+        save(self, &mut check.simulated);
+        self.l1[core].arena.load_rows(&rows.l1, &check.before.l1);
+        self.l2[core].arena.load_rows(&rows.l2, &check.before.l2);
+        self.llc.arena.load_rows(shared, &check.before.llc);
+        self.sf.arena.load_rows(shared, &check.before.sf);
+        self.load_footprint(rows, &entry.post);
+        save(self, &mut check.before);
+        assert_eq!(check.levels, entry.levels, "replayed levels differ from the simulation");
+        assert!(check.before == check.simulated, "replayed sets differ from the simulation");
+    }
+
+    fn save_footprint(&self, rows: &FootprintRows, out: &mut Footprint) {
+        self.l1[rows.core].arena.save_rows(&rows.l1, &mut out.l1);
+        self.l2[rows.core].arena.save_rows(&rows.l2, &mut out.l2);
+        self.llc.arena.save_rows(&rows.shared, &mut out.llc);
+        self.sf.arena.save_rows(&rows.shared, &mut out.sf);
+    }
+
+    fn footprint_equals(&self, rows: &FootprintRows, saved: &Footprint) -> bool {
+        self.l1[rows.core].arena.rows_equal(&rows.l1, &saved.l1)
+            && self.l2[rows.core].arena.rows_equal(&rows.l2, &saved.l2)
+            && self.llc.arena.rows_equal(&rows.shared, &saved.llc)
+            && self.sf.arena.rows_equal(&rows.shared, &saved.sf)
+    }
+
+    fn load_footprint(&mut self, rows: &FootprintRows, saved: &Footprint) {
+        self.l1[rows.core].arena.load_rows(&rows.l1, &saved.l1);
+        self.l2[rows.core].arena.load_rows(&rows.l2, &saved.l2);
+        self.llc.arena.load_rows(&rows.shared, &saved.llc);
+        self.sf.arena.load_rows(&rows.shared, &saved.sf);
     }
 
     /// Steps 3–5 of the paper's non-inclusive protocol (Section 2.3).
@@ -852,6 +1085,18 @@ impl Hierarchy {
     /// Occupancy of an SF set (used by instrumentation and tests).
     pub fn sf_occupancy(&self, loc: SetLocation) -> usize {
         self.sf.occupancy(loc)
+    }
+
+    /// Read-only view of set `index` of `core`'s L1 (instrumentation/oracle
+    /// use; the attack algorithms never see this).
+    pub fn l1_set_view(&self, core: CoreId, index: usize) -> crate::SetView<'_, PrivLine> {
+        self.l1[core].set_view(index)
+    }
+
+    /// Read-only view of set `index` of `core`'s L2 (instrumentation/oracle
+    /// use; the attack algorithms never see this).
+    pub fn l2_set_view(&self, core: CoreId, index: usize) -> crate::SetView<'_, PrivLine> {
+        self.l2[core].set_view(index)
     }
 
     /// Read-only view of an LLC set's tag array and replacement metadata

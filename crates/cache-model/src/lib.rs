@@ -53,7 +53,7 @@ pub use config::{HierarchyConfig, InclusionPolicy};
 pub use geometry::{CacheGeometry, SlicedGeometry};
 pub use hierarchy::{
     AccessKind, AccessOutcome, CoherenceState, CoreId, Hierarchy, HierarchyOptions, HitLevel,
-    LlcLine, PrivLine, SfEntry,
+    LlcLine, PrivLine, SfEntry, TraversalMemo,
 };
 pub use paging::{AddressSpace, TranslateError};
 pub use presets::CacheSpec;

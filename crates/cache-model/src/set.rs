@@ -145,6 +145,61 @@ impl<T: Copy + Default> SetArena<T> {
             self.policy.init_meta(set_meta);
         }
     }
+
+    /// Copies sets `rows` (valid mask, tags, payloads and metadata words)
+    /// into `out`, replacing its contents and reusing its buffers.
+    pub(crate) fn save_rows(&self, rows: &[usize], out: &mut SavedRows<T>) {
+        out.valid.clear();
+        out.lines.clear();
+        out.payload.clear();
+        out.meta.clear();
+        for &row in rows {
+            let r = row * self.ways..(row + 1) * self.ways;
+            out.valid.push(self.valid[row]);
+            out.lines.extend_from_slice(&self.lines[r.clone()]);
+            out.payload.extend_from_slice(&self.payload[r.clone()]);
+            out.meta.extend_from_slice(&self.meta[r]);
+        }
+    }
+
+    /// True if sets `rows` hold exactly what [`SetArena::save_rows`] saved
+    /// into `saved` for the same `rows`.
+    pub(crate) fn rows_equal(&self, rows: &[usize], saved: &SavedRows<T>) -> bool
+    where
+        T: PartialEq,
+    {
+        rows.iter().enumerate().all(|(i, &row)| {
+            let (r, s) =
+                (row * self.ways..(row + 1) * self.ways, i * self.ways..(i + 1) * self.ways);
+            self.valid[row] == saved.valid[i]
+                && self.meta[r.clone()] == saved.meta[s.clone()]
+                && self.lines[r.clone()] == saved.lines[s.clone()]
+                && self.payload[r] == saved.payload[s]
+        })
+    }
+
+    /// Writes `saved` back into sets `rows` (the inverse of
+    /// [`SetArena::save_rows`] for the same `rows`).
+    pub(crate) fn load_rows(&mut self, rows: &[usize], saved: &SavedRows<T>) {
+        for (i, &row) in rows.iter().enumerate() {
+            let (r, s) =
+                (row * self.ways..(row + 1) * self.ways, i * self.ways..(i + 1) * self.ways);
+            self.valid[row] = saved.valid[i];
+            self.lines[r.clone()].copy_from_slice(&saved.lines[s.clone()]);
+            self.payload[r.clone()].copy_from_slice(&saved.payload[s.clone()]);
+            self.meta[r].copy_from_slice(&saved.meta[s]);
+        }
+    }
+}
+
+/// The saved contents of some sets of a [`SetArena`], in the order they were
+/// saved: the row store of the hierarchy's traversal replay memo.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct SavedRows<T> {
+    valid: Vec<u64>,
+    lines: Vec<LineAddr>,
+    payload: Vec<T>,
+    meta: Vec<u64>,
 }
 
 /// Immutable view of one cache set inside a [`SetArena`].

@@ -13,7 +13,7 @@ use crate::schedule::{VictimProgram, VictimSchedule};
 use crate::tenant::{HostSim, TenantBurst, TenantPopulation};
 use llc_cache_model::{
     AccessKind, AddressSpace, CacheSpec, CoreId, Hierarchy, HierarchyOptions, HitLevel, LineAddr,
-    SetLocation, VirtAddr,
+    SetLocation, TraversalMemo, VirtAddr,
 };
 use llc_fleet::stream_seed;
 use rand::rngs::StdRng;
@@ -141,6 +141,7 @@ impl MachineBuilder {
             stats: MachineStats::default(),
             scratch_plan: TraversalPlan::default(),
             scratch_levels: Vec::new(),
+            scratch_memo: TraversalMemo::default(),
             scratch_burst: TenantBurst::default(),
             plan_epoch: 0,
             trial_deadline: None,
@@ -194,6 +195,7 @@ impl MachineSnapshot {
             stats: self.stats,
             scratch_plan: TraversalPlan::default(),
             scratch_levels: Vec::new(),
+            scratch_memo: TraversalMemo::default(),
             scratch_burst: TenantBurst::default(),
             plan_epoch: 0,
             trial_deadline: None,
@@ -317,6 +319,11 @@ pub struct Machine {
     /// scratch contents are dead outside a single call.
     scratch_plan: TraversalPlan,
     scratch_levels: Vec<HitLevel>,
+    /// The replay memo of single-set attacker traversals (see
+    /// [`Hierarchy::read_traversal`]). Not part of snapshots: an entry
+    /// replays only on an exact match of the sets it touched, so after a
+    /// rewind it is as valid as before.
+    scratch_memo: TraversalMemo,
     /// Reusable buffer tenant bursts are drawn into (same rationale as the
     /// other scratch buffers; not part of snapshots).
     scratch_burst: TenantBurst,
@@ -573,7 +580,10 @@ impl Machine {
     /// plan's pre-sorted distinct sets and performs the accesses with the
     /// pre-computed locations, leaving the serving levels in
     /// `scratch_levels`. No translation, slice hash, sort or heap allocation
-    /// on this path.
+    /// on this path. A plan whose lines all map to one LLC/SF set, read
+    /// without helper echo, goes through [`Hierarchy::read_traversal`],
+    /// which replays a repeated all-private-hit traversal from
+    /// `scratch_memo` with the same result.
     ///
     /// # Panics
     ///
@@ -588,6 +598,19 @@ impl Machine {
         );
         for &loc in &plan.distinct {
             self.prepare_set(loc);
+        }
+        // An eviction set being primed or probed, without helper echo: the
+        // hierarchy replays the reads when it can.
+        if plan.distinct.len() == 1 && !self.helper_echo {
+            self.host.hierarchy.read_traversal(
+                self.attacker_core,
+                &plan.lines,
+                plan.distinct[0],
+                &mut self.scratch_memo,
+                &mut self.scratch_levels,
+            );
+            self.stats.attacker_accesses += plan.lines.len() as u64;
+            return;
         }
         self.scratch_levels.clear();
         for (&line, &loc) in plan.lines.iter().zip(&plan.locs) {
