@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_bench::experiments::{measure_single_set, Environment};
 use llc_fleet::Fleet;
 use llc_core::Algorithm;
-use llc_cache_model::{CacheSpec, HierarchyOptions};
+use llc_cache_model::CacheSpec;
 use llc_machine::NoiseFidelity;
 
 fn bench_associativity(c: &mut Criterion) {
@@ -26,7 +26,6 @@ fn bench_associativity(c: &mut Criterion) {
                             spec,
                             Environment::QuiescentLocal,
                             NoiseFidelity::Exact,
-                            HierarchyOptions::default(),
                             algo,
                             true,
                             1,

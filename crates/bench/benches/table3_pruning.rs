@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_bench::experiments::{measure_single_set, Environment};
 use llc_fleet::Fleet;
 use llc_core::Algorithm;
-use llc_cache_model::{CacheSpec, HierarchyOptions};
+use llc_cache_model::CacheSpec;
 use llc_machine::NoiseFidelity;
 
 fn bench_pruning(c: &mut Criterion) {
@@ -37,7 +37,6 @@ fn bench_pruning(c: &mut Criterion) {
                                 &spec,
                                 env,
                                 fidelity,
-                                HierarchyOptions::default(),
                                 algo,
                                 false,
                                 1,

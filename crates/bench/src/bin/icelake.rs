@@ -8,7 +8,7 @@
 use llc_bench::experiments::{measure_single_sets, single_set_cell, Environment};
 use llc_bench::sweeps::PruningSweep;
 use llc_bench::{pct, RunOpts};
-use llc_cache_model::CacheSpec;
+use llc_cache_model::{CacheSpec, HierarchyOptions};
 use llc_core::Algorithm;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
             algorithms.map(|algo| single_set_cell(spec, Environment::QuiescentLocal, algo, true))
         })
         .collect();
-    let sweep = PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), 0x1ce);
+    let sweep = PruningSweep::new(cells, opts.fidelity, HierarchyOptions, 0x1ce);
     let stats = measure_single_sets(&sweep, trials, 0x1ce, &opts.fleet());
 
     println!("Section 5.3.2 — associativity sensitivity (quiescent local, {trials} trials)");

@@ -122,7 +122,6 @@ pub fn measure_single_set(
     spec: &CacheSpec,
     environment: Environment,
     fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
     algorithm: Algorithm,
     filtering: bool,
     trials: usize,
@@ -130,7 +129,7 @@ pub fn measure_single_set(
     fleet: &Fleet,
 ) -> PruningStats {
     let cell = single_set_cell(spec, environment, algorithm, filtering);
-    let sweep = PruningSweep::new(vec![cell], fidelity, hierarchy, seed);
+    let sweep = PruningSweep::new(vec![cell], fidelity, HierarchyOptions, seed);
     measure_single_sets(&sweep, trials, seed, fleet).remove(0)
 }
 
@@ -830,7 +829,6 @@ pub fn measure_key_recovery(
     spec: &CacheSpec,
     environment: Environment,
     fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
     tenants: &TenantPopulation,
     nonce_bits: usize,
     max_signatures: usize,
@@ -856,7 +854,6 @@ pub fn measure_key_recovery(
     let mut base = Machine::builder(spec.clone())
         .noise(environment.noise())
         .noise_fidelity(fidelity)
-        .hierarchy_options(hierarchy)
         .tenants(tenants.clone())
         .seed(stream_seed(seed, trial_streams::MACHINE))
         .build();
@@ -982,12 +979,10 @@ pub struct AesLeakOutcome {
 /// independent batch of requests (fresh plaintext and noise streams); the
 /// correlation is a counting aggregate, so the outcome is bit-identical for
 /// every thread count.
-#[allow(clippy::too_many_arguments)] // one knob per experiment axis; callers name each cell
 pub fn measure_aes_ttable(
     spec: &CacheSpec,
     environment: Environment,
     fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
     requests: usize,
     trials: usize,
     seed: u64,
@@ -1010,7 +1005,6 @@ pub fn measure_aes_ttable(
     let mut base = Machine::builder(spec.clone())
         .noise(environment.noise())
         .noise_fidelity(fidelity)
-        .hierarchy_options(hierarchy)
         .seed(stream_seed(seed, trial_streams::MACHINE))
         .build();
     let mut rng = StdRng::seed_from_u64(stream_seed(seed, trial_streams::ALLOC));
@@ -1168,7 +1162,6 @@ mod tests {
             &tiny(),
             Environment::QuiescentLocal,
             NoiseFidelity::Exact,
-            HierarchyOptions::default(),
             Algorithm::BinS,
             true,
             3,
@@ -1198,7 +1191,7 @@ mod tests {
         let mut runs = Vec::new();
         for threads in [1usize, 2] {
             let sweep =
-                PruningSweep::new(cells(), NoiseFidelity::Exact, HierarchyOptions::default(), seed);
+                PruningSweep::new(cells(), NoiseFidelity::Exact, HierarchyOptions, seed);
             runs.push(measure_single_sets(&sweep, 2, seed, &Fleet::new(threads).with_chunk(1)));
             let pool = sweep.pool().stats();
             assert_eq!(pool.keys, 2, "{threads} thread(s): {pool:?}");
@@ -1209,7 +1202,6 @@ mod tests {
             &tiny(),
             Environment::CloudRun,
             NoiseFidelity::Exact,
-            HierarchyOptions::default(),
             Algorithm::BinS,
             false,
             2,
@@ -1226,7 +1218,6 @@ mod tests {
                 &tiny(),
                 Environment::CloudRun,
                 NoiseFidelity::Exact,
-                HierarchyOptions::default(),
                 Algorithm::BinS,
                 true,
                 6,
@@ -1307,7 +1298,6 @@ mod tests {
                 &tiny(),
                 Environment::QuiescentLocal,
                 NoiseFidelity::Exact,
-                HierarchyOptions::default(),
                 &TenantPopulation::empty(),
                 32,
                 3,

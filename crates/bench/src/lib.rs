@@ -48,9 +48,6 @@
 //!   the hierarchy-composition scenario (inclusion policy, slice hash,
 //!   every-level replacement override). Non-default choices are appended to
 //!   the machine name in report headers;
-//! * `LLC_REUSE_P` — reuse-predictor insertion probability (0.0–1.0).
-//!   Non-zero values force per-event noise dispatch; aggregate-mode report
-//!   headers then show the *effective* fidelity;
 //! * `--tenants SPEC` / `LLC_TENANTS` — background tenant population
 //!   co-resident with the attacker/victim pair, e.g. `2*idle,1*bursty-web`
 //!   (kinds: `idle`, `bursty-web`, `batch-scan`; empty default is the
@@ -81,9 +78,9 @@ pub mod experiments;
 pub mod reports;
 pub mod sweeps;
 
-use llc_cache_model::{CacheSpec, HierarchyOptions, InclusionPolicy, ReplacementKind, SliceHash};
+use llc_cache_model::{CacheSpec, InclusionPolicy, ReplacementKind, SliceHash};
 use llc_fleet::Fleet;
-use llc_machine::{ChurnConfig, Machine, NoiseFidelity, TenantPopulation};
+use llc_machine::{ChurnConfig, NoiseFidelity, TenantPopulation};
 
 /// Reads a positive integer scale knob (`LLC_TRIALS`, `LLC_SLICES`, the
 /// per-binary counts) from the environment: `default` when unset. A set but
@@ -157,10 +154,6 @@ pub struct RunOpts {
     /// Replacement-policy override for every cache level (`--replacement`,
     /// `LLC_REPLACEMENT`; `None` keeps the spec's own policy).
     pub replacement: Option<ReplacementKind>,
-    /// Reuse-predictor insertion probability (`LLC_REUSE_P`). Non-zero
-    /// values force per-event noise dispatch; report headers show the
-    /// effective fidelity.
-    pub reuse_insert_probability: f64,
     /// Background tenant population co-resident with the attacker/victim
     /// pair (`--tenants`, `LLC_TENANTS`; e.g. `2*idle,1*bursty-web`).
     /// Empty (the default) is the legacy single-attacker/single-victim host.
@@ -192,9 +185,9 @@ impl Default for RunOpts {
 impl RunOpts {
     /// Reads options from the `LLC_*` environment: `LLC_THREADS`,
     /// `LLC_NOISE_FIDELITY`, `LLC_INCLUSION`, `LLC_SLICE_HASH`,
-    /// `LLC_REPLACEMENT`, `LLC_REUSE_P`, `LLC_TENANTS`, `LLC_CHURN_MS` and
-    /// `LLC_RETRIES`. Unset variables take their defaults; a set but
-    /// unparseable one is an error (the same vocabulary as its flag).
+    /// `LLC_REPLACEMENT`, `LLC_TENANTS`, `LLC_CHURN_MS` and `LLC_RETRIES`.
+    /// Unset variables take their defaults; a set but unparseable one is an
+    /// error (the same vocabulary as its flag).
     pub fn from_env() -> Result<Self, String> {
         Self::from_env_values(&|name| std::env::var(name).ok())
     }
@@ -210,8 +203,6 @@ impl RunOpts {
             inclusion: env_knob(lookup, "LLC_INCLUSION", parse_inclusion)?.unwrap_or_default(),
             slice_hash: env_knob(lookup, "LLC_SLICE_HASH", parse_slice_hash)?.unwrap_or_default(),
             replacement: env_knob(lookup, "LLC_REPLACEMENT", parse_replacement)?,
-            reuse_insert_probability: env_knob(lookup, "LLC_REUSE_P", parse_reuse_p)?
-                .unwrap_or(0.0),
             tenants: env_knob(lookup, "LLC_TENANTS", parse_tenants)?.unwrap_or_default(),
             churn_dwell_ms: env_knob(lookup, "LLC_CHURN_MS", parse_churn)?.unwrap_or(0.0),
             retries: env_knob(lookup, "LLC_RETRIES", parse_retries)?,
@@ -291,7 +282,6 @@ impl RunOpts {
             inclusion: InclusionPolicy::default(),
             slice_hash: SliceHash::default(),
             replacement: None,
-            reuse_insert_probability: 0.0,
             tenants: TenantPopulation::empty(),
             churn_dwell_ms: 0.0,
             retries: None,
@@ -359,11 +349,6 @@ impl RunOpts {
         spec
     }
 
-    /// Machine-level hierarchy options these options select.
-    pub fn hierarchy_options(&self) -> HierarchyOptions {
-        HierarchyOptions { reuse_insert_probability: self.reuse_insert_probability }
-    }
-
     /// The background tenant population these options select, with the
     /// `--churn` dwell time converted from milliseconds to cycles at the
     /// given core frequency (pass `spec.freq_ghz`). Churn without tenants
@@ -375,17 +360,6 @@ impl RunOpts {
                 Some(ChurnConfig { mean_dwell_cycles: self.churn_dwell_ms * freq_ghz * 1e6 });
         }
         tenants
-    }
-
-    /// The *effective* noise fidelity of machines built with these options,
-    /// answered by the machine layer itself (a hierarchy with an active
-    /// reuse predictor dispatches noise per-event even in aggregate mode).
-    pub fn effective_fidelity(&self) -> NoiseFidelity {
-        Machine::builder(CacheSpec::tiny_test())
-            .noise_fidelity(self.fidelity)
-            .hierarchy_options(self.hierarchy_options())
-            .build()
-            .effective_noise_fidelity()
     }
 }
 
@@ -428,15 +402,6 @@ fn parse_replacement(what: &str, v: &str) -> Result<ReplacementKind, String> {
     ReplacementKind::parse(v).ok_or_else(|| {
         format!("{what} expects 'lru', 'tree-plru', 'qlru', 'srrip' or 'random', got {v:?}")
     })
-}
-
-/// Parses a reuse-predictor insertion probability for `what`
-/// (`LLC_REUSE_P`).
-fn parse_reuse_p(what: &str, v: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|p| (0.0..=1.0).contains(p))
-        .ok_or_else(|| format!("{what} expects a probability in [0, 1], got {v:?}"))
 }
 
 /// Parses a tenant-population spec for `what` (`--tenants` or
@@ -651,7 +616,6 @@ mod tests {
             ("LLC_INCLUSION", "sideways"),
             ("LLC_SLICE_HASH", "crc"),
             ("LLC_REPLACEMENT", "srip"),
-            ("LLC_REUSE_P", "1.5"),
             ("LLC_RETRIES", "lots"),
         ] {
             let err = from_vars(&[(name, bad)]).unwrap_err();
@@ -661,13 +625,11 @@ mod tests {
             ("LLC_THREADS", "3"),
             ("LLC_NOISE_FIDELITY", "aggregate"),
             ("LLC_REPLACEMENT", "srrip"),
-            ("LLC_REUSE_P", "0.25"),
         ])
         .unwrap();
         assert_eq!(o.threads, 3);
         assert_eq!(o.fidelity, NoiseFidelity::Aggregate);
         assert_eq!(o.replacement, Some(ReplacementKind::Srrip));
-        assert_eq!(o.reuse_insert_probability, 0.25);
     }
 
     #[test]
@@ -695,16 +657,6 @@ mod tests {
         // Smoke keeps the driver default so golden runs exercise the
         // production retry path unchanged.
         assert_eq!(RunOpts::smoke_with_threads(2).retries, None);
-    }
-
-    #[test]
-    fn effective_fidelity_reflects_the_reuse_predictor() {
-        let clean =
-            RunOpts::smoke_with_threads(1).with_fidelity(NoiseFidelity::Aggregate);
-        assert_eq!(clean.effective_fidelity(), NoiseFidelity::Aggregate);
-        let degraded = RunOpts { reuse_insert_probability: 0.5, ..clean };
-        assert_eq!(degraded.effective_fidelity(), NoiseFidelity::Exact);
-        assert_eq!(degraded.hierarchy_options().reuse_insert_probability, 0.5);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::experiments::{
 };
 use crate::sweeps::PruningSweep;
 use crate::{env_usize, pct, RunOpts};
-use llc_cache_model::CacheSpec;
+use llc_cache_model::{CacheSpec, HierarchyOptions};
 use llc_core::Algorithm;
 use llc_machine::NoiseFidelity;
 use llc_evsets::Scope;
@@ -29,18 +29,11 @@ use llc_recovery::SearchConfig;
 use std::fmt::Write;
 
 /// Header suffix naming the noise fidelity. Empty in exact mode so the
-/// pre-existing exact reports (and their golden files) stay byte-identical;
-/// in aggregate mode the *effective* fidelity is printed, so a run whose
-/// reuse predictor forced per-event dispatch cannot be mislabelled.
-fn fidelity_suffix(opts: &RunOpts) -> String {
-    match (opts.fidelity, opts.effective_fidelity()) {
-        (NoiseFidelity::Exact, _) => String::new(),
-        (NoiseFidelity::Aggregate, NoiseFidelity::Aggregate) => {
-            " | noise fidelity: aggregate".into()
-        }
-        (NoiseFidelity::Aggregate, NoiseFidelity::Exact) => {
-            " | noise fidelity: aggregate (effective: exact — reuse predictor active)".into()
-        }
+/// pre-existing exact reports (and their golden files) stay byte-identical.
+fn fidelity_suffix(opts: &RunOpts) -> &'static str {
+    match opts.fidelity {
+        NoiseFidelity::Exact => "",
+        NoiseFidelity::Aggregate => " | noise fidelity: aggregate",
     }
 }
 
@@ -76,7 +69,7 @@ fn single_set_grid(
             algorithms.iter().map(move |&algo| single_set_cell(spec, env, algo, filtering))
         })
         .collect();
-    let sweep = PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), seed);
+    let sweep = PruningSweep::new(cells, opts.fidelity, HierarchyOptions, seed);
     measure_single_sets(&sweep, trials, seed, &opts.fleet())
 }
 
@@ -375,7 +368,6 @@ pub fn e2e_key_report(opts: &RunOpts) -> String {
         &spec,
         Environment::CloudRun,
         opts.fidelity,
-        opts.hierarchy_options(),
         &opts.tenant_population(spec.freq_ghz),
         nonce_bits,
         signatures,
@@ -494,7 +486,6 @@ pub fn aes_ttable_report(opts: &RunOpts) -> String {
         &spec,
         Environment::CloudRun,
         opts.fidelity,
-        opts.hierarchy_options(),
         requests,
         trials,
         0x7ab1e8,

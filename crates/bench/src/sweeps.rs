@@ -66,7 +66,6 @@ pub struct SweepCell {
 pub struct PruningSweep {
     cells: Vec<SweepCell>,
     fidelity: NoiseFidelity,
-    hierarchy: HierarchyOptions,
     /// Canonical build seed shared by every cell, so cells that share a
     /// machine configuration share pool keys (and therefore machines).
     build_seed: u64,
@@ -81,16 +80,19 @@ impl PruningSweep {
     /// Builds the sweep source. `master_seed` must be the campaign's master
     /// seed: the canonical machine build seed derives from it, so two runs
     /// of the same campaign construct byte-identical machines.
+    ///
+    /// The [`HierarchyOptions`] argument is ignored; it is kept only because
+    /// the repository benchmark (`perfbench/`) still passes it, and goes with
+    /// the next change to the benchmark.
     pub fn new(
         cells: Vec<SweepCell>,
         fidelity: NoiseFidelity,
-        hierarchy: HierarchyOptions,
+        _hierarchy: HierarchyOptions,
         master_seed: u64,
     ) -> Self {
         Self {
             cells,
             fidelity,
-            hierarchy,
             build_seed: stream_seed(master_seed, trial_streams::MACHINE),
             trial_budget: None,
             pool: MachinePool::new(),
@@ -123,8 +125,8 @@ impl PruningSweep {
     fn pool_key(&self, cell: &SweepCell) -> u64 {
         llc_machine::config_key(
             format!(
-                "sweep|{:?}|{:?}|{:?}|{:?}|{:?}|{:x}",
-                cell.spec, cell.noise, self.fidelity, self.hierarchy, cell.tenants, self.build_seed
+                "sweep|{:?}|{:?}|{:?}|{:?}|{:x}",
+                cell.spec, cell.noise, self.fidelity, cell.tenants, self.build_seed
             )
             .as_bytes(),
         )
@@ -134,7 +136,6 @@ impl PruningSweep {
         Machine::builder(cell.spec.clone())
             .noise(cell.noise.clone())
             .noise_fidelity(self.fidelity)
-            .hierarchy_options(self.hierarchy)
             .tenants(cell.tenants.clone())
             .seed(self.build_seed)
             .build()
@@ -364,7 +365,7 @@ fn preset_from_cells(
             .map(|c| CellSpec { id: c.id.clone(), trials: trials_per_cell })
             .collect(),
     };
-    let source = PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), master_seed);
+    let source = PruningSweep::new(cells, opts.fidelity, HierarchyOptions, master_seed);
     SweepPreset { spec, source }
 }
 

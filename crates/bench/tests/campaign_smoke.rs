@@ -18,6 +18,7 @@
 
 use llc_bench::sweeps::{build_preset, render_report, PruningSweep, SweepPreset};
 use llc_bench::RunOpts;
+use llc_cache_model::HierarchyOptions;
 use llc_campaign::{Campaign, CampaignOutcome, CampaignSpec, FaultPlan, Fleet, RunOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,8 +54,9 @@ fn trim(
         cells: kept.iter().map(|&i| spec.cells[i].clone()).collect(),
         ..spec
     };
-    let opts = RunOpts::smoke_with_threads(1);
-    (spec.clone(), PruningSweep::new(cells, opts.fidelity, opts.hierarchy_options(), spec.master_seed))
+    let fidelity = RunOpts::smoke_with_threads(1).fidelity;
+    let source = PruningSweep::new(cells, fidelity, HierarchyOptions, spec.master_seed);
+    (spec, source)
 }
 
 /// The `table3-sweep` smoke preset trimmed to its cheap cells (modulo slice

@@ -187,21 +187,6 @@ fn aes_ttable_smoke_is_thread_count_invariant() {
 }
 
 #[test]
-fn effective_fidelity_is_surfaced_in_report_headers() {
-    // Aggregate + an active reuse predictor silently degrades the noise
-    // engine to per-event replay; the report header must say so.
-    let opts = RunOpts {
-        reuse_insert_probability: 0.5,
-        ..RunOpts::smoke_with_threads(1).with_fidelity(NoiseFidelity::Aggregate)
-    };
-    let report = reports::aes_ttable_report(&opts);
-    assert!(
-        report.contains("noise fidelity: aggregate (effective: exact — reuse predictor active)"),
-        "header must surface the aggregate→exact degradation: {report}"
-    );
-}
-
-#[test]
 fn table3_smoke_is_thread_count_invariant() {
     let one = reports::table3_report(&RunOpts::smoke_with_threads(1));
     let eight = reports::table3_report(&RunOpts::smoke_with_threads(8));

@@ -12,7 +12,7 @@
 //! Seeded by `LLC_EQUIV_SEED` (pinned default) like the machine-level suite.
 
 use llc_bench::experiments::{measure_single_set, Environment};
-use llc_cache_model::{CacheSpec, HierarchyOptions};
+use llc_cache_model::CacheSpec;
 use llc_core::Algorithm;
 use llc_fleet::stats::compare_rates;
 use llc_fleet::Fleet;
@@ -32,7 +32,6 @@ fn success_hits(fidelity: NoiseFidelity, environment: Environment) -> u64 {
         &CacheSpec::tiny_test(),
         environment,
         fidelity,
-        HierarchyOptions::default(),
         Algorithm::BinS,
         true,
         TRIALS,
@@ -75,7 +74,6 @@ fn aggregate_construction_is_deterministic_and_thread_invariant() {
             &CacheSpec::tiny_test(),
             Environment::CloudRun,
             NoiseFidelity::Aggregate,
-            HierarchyOptions::default(),
             Algorithm::BinS,
             true,
             6,

@@ -9,8 +9,7 @@
 //! * Lines in Shared state are inserted into the LLC and their SF entry is
 //!   freed; the LLC serves later read requests.
 //! * Evicting an SF entry back-invalidates the corresponding line from the
-//!   owning cores' private caches (optionally re-inserting it into the LLC,
-//!   mimicking the reuse predictor).
+//!   owning cores' private caches.
 //! * A request that hits another core's private line (an SF hit) transitions
 //!   the line to Shared and moves it into the LLC.
 //!
@@ -125,22 +124,12 @@ pub struct AccessOutcome {
     pub displaced_sf_entry: bool,
 }
 
-/// Configuration knobs for hierarchy behaviour that the paper identifies as
-/// microarchitecture-dependent.
-#[derive(Debug, Clone, Copy)]
-pub struct HierarchyOptions {
-    /// Probability that a line evicted due to an SF-entry or L2 eviction is
-    /// re-inserted into the LLC (the "reuse predictor" of Section 2.3).
-    /// The default is 0.0, i.e. clean evicted private lines are dropped;
-    /// the attack does not depend on this behaviour.
-    pub reuse_insert_probability: f64,
-}
-
-impl Default for HierarchyOptions {
-    fn default() -> Self {
-        Self { reuse_insert_probability: 0.0 }
-    }
-}
+/// An empty options value, kept only because the repository benchmark
+/// (`perfbench/`) still passes it to `MachineBuilder::hierarchy_options`
+/// and `PruningSweep::new`. It configures nothing; it goes with the next
+/// change to the benchmark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HierarchyOptions;
 
 /// The complete cache hierarchy of one simulated host.
 ///
@@ -151,15 +140,12 @@ impl Default for HierarchyOptions {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     spec: CacheSpec,
-    options: HierarchyOptions,
     l1: Vec<Cache<PrivLine>>,
     l2: Vec<Cache<PrivLine>>,
     llc: SlicedCache<LlcLine>,
     sf: SlicedCache<SfEntry>,
     /// Counter used to mint synthetic noise line addresses.
     noise_counter: u64,
-    /// Deterministic counter used in place of an RNG for the reuse predictor.
-    reuse_counter: u64,
     /// Reusable back-invalidation queue for [`Hierarchy::noise_access_bulk`]:
     /// `(evicted line, core mask)` pairs collected while the set views are
     /// borrowed, applied once the burst completes. Contents are dead between
@@ -301,20 +287,13 @@ impl Hierarchy {
         let sf = SlicedCache::new(spec.sf, slice_hash, replacement, seed ^ 0x55);
         Self {
             spec,
-            options: HierarchyOptions::default(),
             l1,
             l2,
             llc,
             sf,
             noise_counter: 0,
-            reuse_counter: 0,
             noise_evictions: Vec::new(),
         }
-    }
-
-    /// Sets hierarchy behaviour options.
-    pub fn set_options(&mut self, options: HierarchyOptions) {
-        self.options = options;
     }
 
     /// Copies `source`'s complete state — every tag array and all
@@ -326,7 +305,6 @@ impl Hierarchy {
     /// `copy_from_slice` memcpys, with no per-set recursion.
     pub fn restore_from(&mut self, source: &Hierarchy) {
         debug_assert_eq!(self.spec, source.spec, "snapshot specification mismatch");
-        self.options = source.options;
         for (dst, src) in self.l1.iter_mut().zip(&source.l1) {
             dst.restore_from(src);
         }
@@ -336,7 +314,6 @@ impl Hierarchy {
         self.llc.restore_from(&source.llc);
         self.sf.restore_from(&source.sf);
         self.noise_counter = source.noise_counter;
-        self.reuse_counter = source.reuse_counter;
     }
 
     /// The machine specification used to build this hierarchy.
@@ -869,12 +846,6 @@ impl Hierarchy {
     /// reads the private caches and synthetic noise lines never repeat, so
     /// the resulting state (and every replacement-metadata word) is
     /// bit-identical to per-event dispatch.
-    ///
-    /// The one behaviour that genuinely interleaves structures mid-burst is
-    /// the reuse predictor (an SF eviction may re-insert the evicted line
-    /// into the *same* LLC set, reordering against later shared insertions),
-    /// so a hierarchy with `reuse_insert_probability > 0` falls back to the
-    /// exact per-event path.
     pub fn noise_access_bulk<I>(&mut self, loc: SetLocation, shared: I)
     where
         I: IntoIterator<Item = bool>,
@@ -883,13 +854,9 @@ impl Hierarchy {
         // Empty bursts are the common case on a quiescent machine; skip the
         // view setup entirely.
         let Some(first) = events.next() else { return };
-        // Per-event dispatch for the non-default inclusion policies (their
-        // noise paths are not hot in any golden workload) and for the reuse
-        // predictor, whose SF→LLC re-insertions genuinely interleave the
-        // structures mid-burst.
-        if self.inclusion() != InclusionPolicy::NonInclusive
-            || self.options.reuse_insert_probability > 0.0
-        {
+        // Per-event dispatch for the non-default inclusion policies: their
+        // noise paths are not hot in any golden workload.
+        if self.inclusion() != InclusionPolicy::NonInclusive {
             self.noise_access(loc, first);
             for s in events {
                 self.noise_access(loc, s);
@@ -952,26 +919,13 @@ impl Hierarchy {
     /// back-invalidations are guaranteed no-ops). Processing all LLC fills
     /// and then all SF fills is state-equivalent to any timestamp
     /// interleaving of the same counts: the two structures share no ways and
-    /// nothing reads the private caches mid-burst. The exception is again
-    /// the reuse predictor, whose SF→LLC re-insertions genuinely interleave
-    /// the structures — with `reuse_insert_probability > 0` this falls back
-    /// to per-event [`Hierarchy::noise_access`] dispatch (LLC events first),
-    /// trading the speedup for exact ordering.
+    /// nothing reads the private caches mid-burst.
     ///
     /// Work is `O(min(fills, ways))` per structure, which is what makes
     /// long-gap catch-ups cheap in the aggregate noise mode regardless of
     /// the Poisson draw.
     pub fn noise_advance_bulk(&mut self, loc: SetLocation, llc_fills: u64, sf_fills: u64) {
         if llc_fills == 0 && sf_fills == 0 {
-            return;
-        }
-        if self.options.reuse_insert_probability > 0.0 {
-            for _ in 0..llc_fills {
-                self.noise_access(loc, true);
-            }
-            for _ in 0..sf_fills {
-                self.noise_access(loc, false);
-            }
             return;
         }
 
@@ -1174,14 +1128,10 @@ impl Hierarchy {
                     // See also `refresh_backing_recency_at`.
                 }
                 CoherenceState::Exclusive | CoherenceState::Modified => {
-                    // The line leaves the private caches: drop the L1 copy,
-                    // free the SF entry and optionally write back into the
-                    // LLC.
+                    // The line leaves the private caches: drop the L1 copy
+                    // and free the SF entry.
                     self.l1[core].invalidate(line);
                     self.sf.invalidate(line);
-                    if self.reuse_predictor_fires() {
-                        self.insert_llc(line);
-                    }
                 }
             },
             InclusionPolicy::Inclusive => {
@@ -1231,34 +1181,6 @@ impl Hierarchy {
                 self.l2[owner].invalidate(line);
             }
         }
-        // Exclusive: a directory eviction forces the line out of the package
-        // entirely (write back to memory), never into the LLC — an exclusive
-        // LLC only fills on private-cache evictions. The reuse predictor is a
-        // non-inclusive-specific behaviour (Section 2.3).
-        if self.inclusion() == InclusionPolicy::NonInclusive && self.reuse_predictor_fires() {
-            self.insert_llc(line);
-        }
-    }
-
-    fn reuse_predictor_fires(&mut self) -> bool {
-        let p = self.options.reuse_insert_probability;
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        // Deterministic low-discrepancy decision so simulations replay
-        // identically: fire on the fraction p of consecutive decisions.
-        self.reuse_counter = self.reuse_counter.wrapping_add(1);
-        let phase = (self.reuse_counter.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64
-            / (1u64 << 24) as f64;
-        phase < p
-    }
-
-    fn insert_llc(&mut self, line: LineAddr) {
-        let loc = self.llc.location(line);
-        self.insert_llc_at(loc, line);
     }
 
     fn insert_llc_at(&mut self, loc: SetLocation, line: LineAddr) {
@@ -1493,6 +1415,32 @@ mod tests {
         assert!(!h.in_llc(target));
     }
 
+    /// Asserts that `a` and `b` hold the same tags and replacement metadata
+    /// words in the LLC and SF sets at `loc`, and the same copies of
+    /// `lines` at every level.
+    fn assert_same_state(a: &Hierarchy, b: &Hierarchy, loc: SetLocation, lines: &[LineAddr]) {
+        let (va, vb) = (a.llc_set_view(loc), b.llc_set_view(loc));
+        assert_eq!(va.occupancy(), vb.occupancy());
+        for w in 0..va.num_ways() {
+            assert_eq!(va.line(w), vb.line(w), "LLC way {w} diverged");
+            assert_eq!(va.meta_word(w), vb.meta_word(w), "LLC meta {w} diverged");
+        }
+        let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
+        assert_eq!(sa.occupancy(), sb.occupancy());
+        for w in 0..sa.num_ways() {
+            assert_eq!(sa.line(w), sb.line(w), "SF way {w} diverged");
+            assert_eq!(sa.meta_word(w), sb.meta_word(w), "SF meta {w} diverged");
+        }
+        for &l in lines {
+            for c in 0..a.cores() {
+                assert_eq!(a.in_l1(c, l), b.in_l1(c, l));
+                assert_eq!(a.in_l2(c, l), b.in_l2(c, l));
+            }
+            assert_eq!(a.in_llc(l), b.in_llc(l));
+            assert_eq!(a.in_sf(l), b.in_sf(l));
+        }
+    }
+
     /// The bulk noise path must be state-identical to per-event dispatch:
     /// same tags, same replacement metadata words, same back-invalidations.
     #[test]
@@ -1515,105 +1463,69 @@ mod tests {
             a.noise_access(loc, s);
         }
         b.noise_access_bulk(loc, burst.iter().copied());
-
-        for (va, vb) in [
-            (a.llc_set_view(loc), b.llc_set_view(loc)),
-        ] {
-            assert_eq!(va.occupancy(), vb.occupancy());
-            for w in 0..va.num_ways() {
-                assert_eq!(va.line(w), vb.line(w), "LLC way {w} diverged");
-                assert_eq!(va.meta_word(w), vb.meta_word(w), "LLC meta {w} diverged");
-            }
-        }
-        let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
-        assert_eq!(sa.occupancy(), sb.occupancy());
-        for w in 0..sa.num_ways() {
-            assert_eq!(sa.line(w), sb.line(w), "SF way {w} diverged");
-            assert_eq!(sa.meta_word(w), sb.meta_word(w), "SF meta {w} diverged");
-        }
-        for l in [target, shared_victim] {
-            for c in 0..a.cores() {
-                assert_eq!(a.in_l1(c, l), b.in_l1(c, l));
-                assert_eq!(a.in_l2(c, l), b.in_l2(c, l));
-            }
-            assert_eq!(a.in_llc(l), b.in_llc(l));
-            assert_eq!(a.in_sf(l), b.in_sf(l));
-        }
+        assert_same_state(&a, &b, loc, &[target, shared_victim]);
         // The burst must actually have evicted the seeded lines, otherwise
         // the back-invalidation queue was never exercised.
         assert!(!b.in_sf(target) && !b.in_llc(shared_victim));
     }
 
-    /// With the reuse predictor enabled the bulk path must fall back to the
-    /// exact per-event ordering (SF evictions re-insert into the same set).
-    #[test]
-    fn bulk_noise_access_matches_with_reuse_predictor() {
-        let mut a = hierarchy();
-        let mut b = hierarchy();
-        for h in [&mut a, &mut b] {
-            h.set_options(HierarchyOptions { reuse_insert_probability: 1.0 });
-            h.access(0, line(0x4242), AccessKind::Read);
-        }
-        let loc = a.shared_location(line(0x4242));
-        let burst: Vec<bool> = (0..2 * a.spec().sf.ways()).map(|i| i % 3 == 0).collect();
-        for &s in &burst {
-            a.noise_access(loc, s);
-        }
-        b.noise_access_bulk(loc, burst.iter().copied());
-        let (va, vb) = (a.llc_set_view(loc), b.llc_set_view(loc));
-        for w in 0..va.num_ways() {
-            assert_eq!(va.line(w), vb.line(w));
-            assert_eq!(va.meta_word(w), vb.meta_word(w));
-        }
-        let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
-        for w in 0..sa.num_ways() {
-            assert_eq!(sa.line(w), sb.line(w));
-        }
-    }
-
     /// Below saturation, `noise_advance_bulk(kl, ks)` must be
     /// state-identical to `kl` shared then `ks` private per-event noise
-    /// accesses: same tags, same metadata, same back-invalidations.
+    /// accesses under every inclusion policy and deterministic replacement
+    /// policy: same tags, same metadata, same back-invalidations.
     #[test]
     fn noise_advance_bulk_matches_per_event_below_saturation() {
-        let mut a = hierarchy();
-        let mut b = hierarchy();
-        let target = line(0x4242);
-        let shared_victim = congruent_lines(&a, target, 1)[0];
-        for h in [&mut a, &mut b] {
-            h.access(0, target, AccessKind::Read);
-            h.access(0, shared_victim, AccessKind::Read);
-            h.access(1, shared_victim, AccessKind::Read);
-        }
-        let loc = a.shared_location(target);
-        let (kl, ks) = (a.spec().llc.ways() as u64 - 1, a.spec().sf.ways() as u64 - 1);
-        for _ in 0..kl {
-            a.noise_access(loc, true);
-        }
-        for _ in 0..ks {
-            a.noise_access(loc, false);
-        }
-        b.noise_advance_bulk(loc, kl, ks);
-
-        let (va, vb) = (a.llc_set_view(loc), b.llc_set_view(loc));
-        assert_eq!(va.occupancy(), vb.occupancy());
-        for w in 0..va.num_ways() {
-            assert_eq!(va.line(w), vb.line(w), "LLC way {w} diverged");
-            assert_eq!(va.meta_word(w), vb.meta_word(w), "LLC meta {w} diverged");
-        }
-        let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
-        assert_eq!(sa.occupancy(), sb.occupancy());
-        for w in 0..sa.num_ways() {
-            assert_eq!(sa.line(w), sb.line(w), "SF way {w} diverged");
-            assert_eq!(sa.meta_word(w), sb.meta_word(w), "SF meta {w} diverged");
-        }
-        for l in [target, shared_victim] {
-            for c in 0..a.cores() {
-                assert_eq!(a.in_l1(c, l), b.in_l1(c, l));
-                assert_eq!(a.in_l2(c, l), b.in_l2(c, l));
+        use crate::replacement::ReplacementKind;
+        for policy in
+            [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive]
+        {
+            for kind in [
+                ReplacementKind::Lru,
+                ReplacementKind::TreePlru,
+                ReplacementKind::Qlru,
+                ReplacementKind::Srrip,
+            ] {
+                let spec = CacheSpec::tiny_test().with_inclusion(policy).with_replacement(kind);
+                let mut a = Hierarchy::new(spec.clone(), 1);
+                let mut b = Hierarchy::new(spec, 1);
+                let target = line(0x4242);
+                let shared_victim = congruent_lines(&a, target, 1)[0];
+                let loc = a.shared_location(target);
+                let (llc_ways, sf_ways) = (a.spec().llc.ways() as u64, a.spec().sf.ways() as u64);
+                for h in [&mut a, &mut b] {
+                    h.access(0, target, AccessKind::Read);
+                    h.access(0, shared_victim, AccessKind::Read);
+                    h.access(1, shared_victim, AccessKind::Read);
+                    // Fill the free ways behind the seeded lines, so the
+                    // advance evicts and the seeded lines are the oldest.
+                    // The inclusive hierarchy leaves its SF unused.
+                    for _ in h.llc_occupancy(loc)..llc_ways as usize {
+                        h.noise_access(loc, true);
+                    }
+                    if policy != InclusionPolicy::Inclusive {
+                        for _ in h.sf_occupancy(loc)..sf_ways as usize {
+                            h.noise_access(loc, false);
+                        }
+                    }
+                }
+                // Under `Inclusive` both counts land in the LLC, so their sum
+                // stays below the LLC's ways.
+                let (kl, ks) = match policy {
+                    InclusionPolicy::Inclusive => (llc_ways / 2, llc_ways - 1 - llc_ways / 2),
+                    _ => (llc_ways - 1, sf_ways - 1),
+                };
+                for _ in 0..kl {
+                    a.noise_access(loc, true);
+                }
+                for _ in 0..ks {
+                    a.noise_access(loc, false);
+                }
+                b.noise_advance_bulk(loc, kl, ks);
+                assert_same_state(&a, &b, loc, &[target, shared_victim]);
+                if kind == ReplacementKind::Lru {
+                    assert!(!b.in_l2(0, target), "{policy:?}: the advance must back-invalidate");
+                }
             }
-            assert_eq!(a.in_llc(l), b.in_llc(l));
-            assert_eq!(a.in_sf(l), b.in_sf(l));
         }
     }
 
@@ -1637,37 +1549,6 @@ mod tests {
         assert!(!h.in_l2(0, shared_victim) && !h.in_l2(1, shared_victim));
         assert_eq!(h.llc_occupancy(loc), h.spec().llc.ways());
         assert_eq!(h.sf_occupancy(loc), h.spec().sf.ways());
-    }
-
-    /// With the reuse predictor enabled the aggregate path must fall back to
-    /// per-event dispatch (LLC fills first, then SF fills) so SF→LLC
-    /// re-insertions interleave exactly.
-    #[test]
-    fn noise_advance_bulk_matches_with_reuse_predictor() {
-        let mut a = hierarchy();
-        let mut b = hierarchy();
-        for h in [&mut a, &mut b] {
-            h.set_options(HierarchyOptions { reuse_insert_probability: 1.0 });
-            h.access(0, line(0x4242), AccessKind::Read);
-        }
-        let loc = a.shared_location(line(0x4242));
-        let (kl, ks) = (3u64, 2 * a.spec().sf.ways() as u64);
-        for _ in 0..kl {
-            a.noise_access(loc, true);
-        }
-        for _ in 0..ks {
-            a.noise_access(loc, false);
-        }
-        b.noise_advance_bulk(loc, kl, ks);
-        let (va, vb) = (a.llc_set_view(loc), b.llc_set_view(loc));
-        for w in 0..va.num_ways() {
-            assert_eq!(va.line(w), vb.line(w));
-            assert_eq!(va.meta_word(w), vb.meta_word(w));
-        }
-        let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
-        for w in 0..sa.num_ways() {
-            assert_eq!(sa.line(w), sb.line(w));
-        }
     }
 
     #[test]
@@ -1701,20 +1582,5 @@ mod tests {
         h.flush_all();
         assert!(!h.in_llc(line(1)));
         assert_eq!(h.access(0, line(1), AccessKind::Read).level, HitLevel::Memory);
-    }
-
-    #[test]
-    fn reuse_predictor_probability_one_inserts_into_llc() {
-        let mut h = hierarchy();
-        h.set_options(HierarchyOptions { reuse_insert_probability: 1.0 });
-        let target = line(0x9000);
-        h.access(0, target, AccessKind::Read);
-        let ways = h.spec().sf.ways();
-        let fillers = congruent_lines(&h, target, ways);
-        for f in &fillers {
-            h.access(1, *f, AccessKind::Read);
-        }
-        // Displaced private line was written back into the LLC.
-        assert!(h.in_llc(target));
     }
 }

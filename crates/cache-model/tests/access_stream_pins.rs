@@ -10,8 +10,7 @@
 //! they had just missed in, and every later change must reproduce them.
 
 use llc_cache_model::{
-    AccessKind, CacheSpec, Hierarchy, HierarchyOptions, HitLevel, InclusionPolicy, LineAddr,
-    ReplacementKind,
+    AccessKind, CacheSpec, Hierarchy, HitLevel, InclusionPolicy, LineAddr, ReplacementKind,
 };
 
 /// Operations per stream.
@@ -27,8 +26,6 @@ const KINDS: [ReplacementKind; 5] = [
     ReplacementKind::Srrip,
     ReplacementKind::Random,
 ];
-
-const REUSE: [f64; 2] = [0.0, 0.5];
 
 /// SplitMix64: a self-contained stream, so the pins do not depend on the
 /// vendored `rand` shim's generator.
@@ -55,20 +52,18 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Replays the fixed stream on `spec` composed with `policy`, `kind` at every
-/// level and the reuse predictor at `reuse`. Returns the digest and how many
-/// accesses each `HitLevel` served plus how many displaced an SF entry.
+/// Replays the fixed stream on `spec` composed with `policy` and `kind` at
+/// every level. Returns the digest and how many accesses each `HitLevel`
+/// served plus how many displaced an SF entry.
 fn stream_digest(
     spec: &CacheSpec,
     pool: &[LineAddr],
     policy: InclusionPolicy,
     kind: ReplacementKind,
-    reuse: f64,
 ) -> (u64, [usize; 6]) {
     let spec = spec.clone().with_inclusion(policy).with_replacement(kind);
     let cores = spec.cores as u64;
     let mut h = Hierarchy::new(spec, 7);
-    h.set_options(HierarchyOptions { reuse_insert_probability: reuse });
     let mut rng = SplitMix(0x5eed);
     let mut recent = [pool[0]; 8];
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -113,23 +108,21 @@ fn stream_digest(
 }
 
 /// Runs every composition on `spec` and checks each digest against `pins`
-/// (policy-major, then replacement kind, then reuse probability).
-fn check(spec: CacheSpec, pool: Vec<LineAddr>, pins: &[u64; 30]) {
+/// (policy-major, then replacement kind).
+fn check(spec: CacheSpec, pool: Vec<LineAddr>, pins: &[u64; 15]) {
     let mut got = Vec::new();
     for policy in POLICIES {
         for kind in KINDS {
-            for reuse in REUSE {
-                let (digest, seen) = stream_digest(&spec, &pool, policy, kind, reuse);
-                let label = format!("{} / {} / reuse {reuse}", policy.label(), kind.label());
-                for level in [HitLevel::L1, HitLevel::L2, HitLevel::Llc, HitLevel::Memory] {
-                    assert!(seen[level as usize] > 0, "{label}: no access served by {level:?}");
-                }
-                if policy != InclusionPolicy::Inclusive {
-                    assert!(seen[HitLevel::SfSnoop as usize] > 0, "{label}: no SF snoop");
-                    assert!(seen[5] > 0, "{label}: no SF entry displaced");
-                }
-                got.push((label, digest));
+            let (digest, seen) = stream_digest(&spec, &pool, policy, kind);
+            let label = format!("{} / {}", policy.label(), kind.label());
+            for level in [HitLevel::L1, HitLevel::L2, HitLevel::Llc, HitLevel::Memory] {
+                assert!(seen[level as usize] > 0, "{label}: no access served by {level:?}");
             }
+            if policy != InclusionPolicy::Inclusive {
+                assert!(seen[HitLevel::SfSnoop as usize] > 0, "{label}: no SF snoop");
+                assert!(seen[5] > 0, "{label}: no SF entry displaced");
+            }
+            got.push((label, digest));
         }
     }
     let table: String = got.iter().map(|(l, d)| format!("    {d:#018x}, // {l}\n")).collect();
@@ -156,70 +149,40 @@ fn skylake_access_streams_are_pinned() {
 }
 
 /// `CacheSpec::tiny_test()` digests, in [`check`]'s order.
-const TINY_TEST: [u64; 30] = [
-    0x82d7c02069c8051e, // non-inclusive / lru / reuse 0
-    0xc78a3404e98e2cc0, // non-inclusive / lru / reuse 0.5
-    0x6e5f5de592ed0c30, // non-inclusive / tree-plru / reuse 0
-    0xd24d349ed10ee0a9, // non-inclusive / tree-plru / reuse 0.5
-    0x142bf33b704cf09f, // non-inclusive / qlru / reuse 0
-    0x1d26c033e0777114, // non-inclusive / qlru / reuse 0.5
-    0xae2bf4f542145e2f, // non-inclusive / srrip / reuse 0
-    0x15857b3b05629e99, // non-inclusive / srrip / reuse 0.5
-    0xb44f4392e5f4c65a, // non-inclusive / random / reuse 0
-    0xf361e46187040f01, // non-inclusive / random / reuse 0.5
-    0x137bb8bc5938cc11, // inclusive / lru / reuse 0
-    0x137bb8bc5938cc11, // inclusive / lru / reuse 0.5
-    0x450e30f7d5f11ca3, // inclusive / tree-plru / reuse 0
-    0x450e30f7d5f11ca3, // inclusive / tree-plru / reuse 0.5
-    0x3f7acba4c9c8116e, // inclusive / qlru / reuse 0
-    0x3f7acba4c9c8116e, // inclusive / qlru / reuse 0.5
-    0x05ea4875f552eb16, // inclusive / srrip / reuse 0
-    0x05ea4875f552eb16, // inclusive / srrip / reuse 0.5
-    0x7faf0d617468accd, // inclusive / random / reuse 0
-    0x7faf0d617468accd, // inclusive / random / reuse 0.5
-    0xac62700875bdc0e9, // exclusive / lru / reuse 0
-    0xac62700875bdc0e9, // exclusive / lru / reuse 0.5
-    0x52d78d16d4926ae9, // exclusive / tree-plru / reuse 0
-    0x52d78d16d4926ae9, // exclusive / tree-plru / reuse 0.5
-    0xb476e00e1dcec4f3, // exclusive / qlru / reuse 0
-    0xb476e00e1dcec4f3, // exclusive / qlru / reuse 0.5
-    0xbb9f0f8b488cd7fc, // exclusive / srrip / reuse 0
-    0xbb9f0f8b488cd7fc, // exclusive / srrip / reuse 0.5
-    0x83c0b27b637a96c4, // exclusive / random / reuse 0
-    0x83c0b27b637a96c4, // exclusive / random / reuse 0.5
+const TINY_TEST: [u64; 15] = [
+    0x82d7c02069c8051e, // non-inclusive / lru
+    0x6e5f5de592ed0c30, // non-inclusive / tree-plru
+    0x142bf33b704cf09f, // non-inclusive / qlru
+    0xae2bf4f542145e2f, // non-inclusive / srrip
+    0xb44f4392e5f4c65a, // non-inclusive / random
+    0x137bb8bc5938cc11, // inclusive / lru
+    0x450e30f7d5f11ca3, // inclusive / tree-plru
+    0x3f7acba4c9c8116e, // inclusive / qlru
+    0x05ea4875f552eb16, // inclusive / srrip
+    0x7faf0d617468accd, // inclusive / random
+    0xac62700875bdc0e9, // exclusive / lru
+    0x52d78d16d4926ae9, // exclusive / tree-plru
+    0xb476e00e1dcec4f3, // exclusive / qlru
+    0xbb9f0f8b488cd7fc, // exclusive / srrip
+    0x83c0b27b637a96c4, // exclusive / random
 ];
 
 /// `CacheSpec::skylake_sp(2, 4)` digests, in [`check`]'s order.
 #[cfg(feature = "skylake")]
-const SKYLAKE_SP_2_4: [u64; 30] = [
-    0xb87aad8205e94d33, // non-inclusive / lru / reuse 0
-    0x47674e53979b0c56, // non-inclusive / lru / reuse 0.5
-    0x577abc00908b52b0, // non-inclusive / tree-plru / reuse 0
-    0x1c61b840a41487ee, // non-inclusive / tree-plru / reuse 0.5
-    0x18717d19a9106e4f, // non-inclusive / qlru / reuse 0
-    0xe646598e1f8ba871, // non-inclusive / qlru / reuse 0.5
-    0x7d85f0068bda5a3f, // non-inclusive / srrip / reuse 0
-    0xae16be2c56053e5b, // non-inclusive / srrip / reuse 0.5
-    0x472a6a989a5ad114, // non-inclusive / random / reuse 0
-    0xf72dacd971ef63f6, // non-inclusive / random / reuse 0.5
-    0xae4b7731970790dc, // inclusive / lru / reuse 0
-    0xae4b7731970790dc, // inclusive / lru / reuse 0.5
-    0x985a525ca91b92a0, // inclusive / tree-plru / reuse 0
-    0x985a525ca91b92a0, // inclusive / tree-plru / reuse 0.5
-    0x863e35950f83a083, // inclusive / qlru / reuse 0
-    0x863e35950f83a083, // inclusive / qlru / reuse 0.5
-    0x79c435becde26702, // inclusive / srrip / reuse 0
-    0x79c435becde26702, // inclusive / srrip / reuse 0.5
-    0xecc9a2995baf32ef, // inclusive / random / reuse 0
-    0xecc9a2995baf32ef, // inclusive / random / reuse 0.5
-    0x33c5787da1dffdec, // exclusive / lru / reuse 0
-    0x33c5787da1dffdec, // exclusive / lru / reuse 0.5
-    0xa90bd46b1ff7f24a, // exclusive / tree-plru / reuse 0
-    0xa90bd46b1ff7f24a, // exclusive / tree-plru / reuse 0.5
-    0x6d365863443fa320, // exclusive / qlru / reuse 0
-    0x6d365863443fa320, // exclusive / qlru / reuse 0.5
-    0x740cbb3b10750dc6, // exclusive / srrip / reuse 0
-    0x740cbb3b10750dc6, // exclusive / srrip / reuse 0.5
-    0xc5d83e1b0cfca813, // exclusive / random / reuse 0
-    0xc5d83e1b0cfca813, // exclusive / random / reuse 0.5
+const SKYLAKE_SP_2_4: [u64; 15] = [
+    0xb87aad8205e94d33, // non-inclusive / lru
+    0x577abc00908b52b0, // non-inclusive / tree-plru
+    0x18717d19a9106e4f, // non-inclusive / qlru
+    0x7d85f0068bda5a3f, // non-inclusive / srrip
+    0x472a6a989a5ad114, // non-inclusive / random
+    0xae4b7731970790dc, // inclusive / lru
+    0x985a525ca91b92a0, // inclusive / tree-plru
+    0x863e35950f83a083, // inclusive / qlru
+    0x79c435becde26702, // inclusive / srrip
+    0xecc9a2995baf32ef, // inclusive / random
+    0x33c5787da1dffdec, // exclusive / lru
+    0xa90bd46b1ff7f24a, // exclusive / tree-plru
+    0x6d365863443fa320, // exclusive / qlru
+    0x740cbb3b10750dc6, // exclusive / srrip
+    0xc5d83e1b0cfca813, // exclusive / random
 ];

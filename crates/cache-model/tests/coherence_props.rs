@@ -12,24 +12,13 @@
 //! invariants over random read+write streams mixed with `clflush`,
 //! background noise and replacement-state priming.
 
-use llc_cache_model::{
-    AccessKind, CacheSpec, CoherenceState, Hierarchy, HierarchyOptions, LineAddr,
-};
+use llc_cache_model::{AccessKind, CacheSpec, CoherenceState, Hierarchy, LineAddr};
 use proptest::prelude::*;
 
 /// Lines 0..LINES on `tiny_test` fold onto 64 shared sets (2 slices × 32
 /// sets) and 8 L1 sets, so random draws are heavily congruent and demotions
 /// and evictions happen constantly.
 const LINES: u64 = 256;
-
-fn hierarchy(seed: u64, reuse: u8) -> Hierarchy {
-    let mut h = Hierarchy::new(CacheSpec::tiny_test(), seed);
-    // Sweep the reuse predictor too: it adds SF-eviction → LLC re-insertion
-    // interleavings that the default configuration never exercises.
-    let p = [0.0, 0.37, 1.0][reuse as usize % 3];
-    h.set_options(HierarchyOptions { reuse_insert_probability: p });
-    h
-}
 
 /// Applies one encoded operation: weighted towards reads and writes, with
 /// flushes, background noise (shared and private flavours) and
@@ -67,10 +56,9 @@ proptest! {
     #[test]
     fn stale_l1_copies_stay_backed(
         seed in any::<u64>(),
-        reuse in 0u8..3,
         ops in prop::collection::vec((0usize..10, 0usize..3, 0u64..LINES), 0..160),
     ) {
-        let mut h = hierarchy(seed, reuse);
+        let mut h = Hierarchy::new(CacheSpec::tiny_test(), seed);
         for &(op, core, n) in &ops {
             apply(&mut h, op, core, n);
         }
@@ -98,10 +86,9 @@ proptest! {
     #[test]
     fn private_lines_stay_backed(
         seed in any::<u64>(),
-        reuse in 0u8..3,
         ops in prop::collection::vec((0usize..10, 0usize..3, 0u64..LINES), 0..160),
     ) {
-        let mut h = hierarchy(seed, reuse);
+        let mut h = Hierarchy::new(CacheSpec::tiny_test(), seed);
         for &(op, core, n) in &ops {
             apply(&mut h, op, core, n);
         }

@@ -110,7 +110,8 @@ impl FaultPlan {
     /// comma-separated tokens `panic@K` (transient trial panic at global
     /// trial K), `panic@K!` (sticky), `short@N` / `torn@N` / `enospc@N`
     /// (Nth record append), `fsync@N` (Nth records fsync), `rename@N`
-    /// (Nth manifest write). Example: `panic@5,torn@2`.
+    /// (Nth manifest write). Example: `panic@5,torn@2`. A sticky `!` on any
+    /// kind but `panic` is an error, not a silently different plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
@@ -123,6 +124,9 @@ impl FaultPlan {
             };
             let index: u64 =
                 at.parse().map_err(|_| format!("fault token '{token}': bad index '{at}'"))?;
+            if sticky && kind != "panic" {
+                return Err(format!("fault token '{token}': only 'panic' takes a sticky '!'"));
+            }
             plan = match kind {
                 "panic" => plan.panic_at(index, sticky),
                 "short" => plan.io_at(index, IoFault::ShortWrite),
@@ -323,6 +327,10 @@ mod tests {
         assert!(FaultPlan::parse("panic5").is_err());
         assert!(FaultPlan::parse("panic@x").is_err());
         assert!(FaultPlan::parse("meteor@3").is_err());
+        // Only a panic can be sticky.
+        assert!(FaultPlan::parse("torn@2!").is_err());
+        assert!(FaultPlan::parse("fsync@0!").is_err());
+        assert!(FaultPlan::parse("rename@1!").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 

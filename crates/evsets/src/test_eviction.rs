@@ -93,9 +93,10 @@ pub fn test_eviction(
     }
     load_target(machine, ta, target);
     machine.set_helper_echo(target == TargetCache::Llc);
-    // The private L2 uses Tree-PLRU, under which a single pass over W
-    // congruent lines does not reliably evict the target; real eviction-set
-    // code traverses the candidates twice to defeat non-LRU policies.
+    // Every preset's L2 is LRU, where one pass over W congruent lines
+    // evicts the target. Under a non-LRU L2 (`--replacement`) one pass does
+    // not reliably evict it, so L2 tests traverse the candidates twice, as
+    // real eviction-set code does to defeat non-LRU policies.
     let passes = if target == TargetCache::L2 { 2 } else { 1 };
     for _ in 0..passes {
         match order {

@@ -60,8 +60,7 @@ pub use aes::{
 pub use latency::LatencyModel;
 pub use machine::{Machine, MachineBuilder, MachineSnapshot, MachineStats, TraversalPlan};
 pub use noise::{
-    aggregate_fallback_warned, sample_poisson, NoiseAdvance, NoiseEvent, NoiseFidelity, NoiseModel,
-    NoiseProcess, AGGREGATE_FALLBACK_WARNING,
+    sample_poisson, NoiseAdvance, NoiseEvent, NoiseFidelity, NoiseModel, NoiseProcess,
 };
 pub use pool::{config_key, MachinePool, PooledMachine, PoolStats};
 pub use schedule::{PeriodicToucher, ScheduledAccess, VictimProgram, VictimSchedule};

@@ -50,7 +50,6 @@ pub struct MachineBuilder {
     spec: CacheSpec,
     noise: NoiseModel,
     fidelity: NoiseFidelity,
-    hierarchy_options: HierarchyOptions,
     tenants: TenantPopulation,
     seed: u64,
 }
@@ -62,7 +61,6 @@ impl MachineBuilder {
             spec,
             noise: NoiseModel::quiescent_local(),
             fidelity: NoiseFidelity::Exact,
-            hierarchy_options: HierarchyOptions::default(),
             tenants: TenantPopulation::empty(),
             seed: 0xC10D_5EED,
         }
@@ -84,9 +82,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets hierarchy behaviour options (reuse predictor, ...).
-    pub fn hierarchy_options(mut self, options: HierarchyOptions) -> Self {
-        self.hierarchy_options = options;
+    /// Does nothing: [`HierarchyOptions`] configures nothing. Kept only
+    /// because the repository benchmark (`perfbench/`) still calls it; it
+    /// goes with the next change to the benchmark.
+    pub fn hierarchy_options(self, _options: HierarchyOptions) -> Self {
         self
     }
 
@@ -115,13 +114,8 @@ impl MachineBuilder {
         assert!(self.spec.cores >= 3, "need at least 3 cores (attacker, helper, victim)");
         let sets_per_slice = self.spec.llc.slice_geometry().sets();
         let num_slices = self.spec.llc.num_slices();
-        let mut hierarchy = Hierarchy::new(self.spec.clone(), self.seed);
-        hierarchy.set_options(self.hierarchy_options);
-        let mut noise = NoiseProcess::new(self.noise, self.fidelity, sets_per_slice, num_slices);
-        // The reuse predictor forces `Hierarchy::noise_advance_bulk` onto
-        // per-event dispatch, so an Aggregate configuration effectively runs
-        // Exact; record that so reports can label the run truthfully.
-        noise.set_per_event_fallback(self.hierarchy_options.reuse_insert_probability > 0.0);
+        let hierarchy = Hierarchy::new(self.spec.clone(), self.seed);
+        let noise = NoiseProcess::new(self.noise, self.fidelity, sets_per_slice, num_slices);
         let mut host = HostSim::new(hierarchy, noise, self.tenants);
         // Zero work and zero RNG draws for the empty population, preserving
         // the legacy configuration bit-for-bit.
@@ -374,14 +368,6 @@ impl Machine {
     /// The noise fidelity in force (see [`NoiseFidelity`]).
     pub fn noise_fidelity(&self) -> NoiseFidelity {
         self.host.noise.fidelity()
-    }
-
-    /// The noise fidelity the simulation *actually runs at*: an `Aggregate`
-    /// configuration degrades to exact per-event dispatch when the
-    /// hierarchy's reuse predictor is active (see
-    /// [`NoiseProcess::effective_fidelity`]). Report headers print this.
-    pub fn effective_noise_fidelity(&self) -> NoiseFidelity {
-        self.host.noise.effective_fidelity()
     }
 
     /// Simulation work counters.
@@ -993,34 +979,6 @@ mod tests {
             .noise(NoiseModel::silent())
             .seed(3)
             .build()
-    }
-
-    /// Aggregate fidelity + an active reuse predictor runs per-event in the
-    /// hierarchy, and the machine must report that as an effectively exact
-    /// run (the bench layer prints this in report headers).
-    #[test]
-    fn reuse_predictor_degrades_effective_fidelity() {
-        let aggregate = |reuse: f64| {
-            Machine::builder(CacheSpec::tiny_test())
-                .noise(NoiseModel::cloud_run())
-                .noise_fidelity(NoiseFidelity::Aggregate)
-                .hierarchy_options(HierarchyOptions { reuse_insert_probability: reuse })
-                .seed(3)
-                .build()
-        };
-        let clean = aggregate(0.0);
-        assert_eq!(clean.noise_fidelity(), NoiseFidelity::Aggregate);
-        assert_eq!(clean.effective_noise_fidelity(), NoiseFidelity::Aggregate);
-
-        let degraded = aggregate(0.3);
-        assert_eq!(degraded.noise_fidelity(), NoiseFidelity::Aggregate);
-        assert_eq!(degraded.effective_noise_fidelity(), NoiseFidelity::Exact);
-
-        // The flag survives the snapshot/rewind cycle every fleet trial uses.
-        let snapshot = degraded.snapshot();
-        let mut rewound = snapshot.to_machine();
-        rewound.reset_to(&snapshot);
-        assert_eq!(rewound.effective_noise_fidelity(), NoiseFidelity::Exact);
     }
 
     #[test]

@@ -28,25 +28,6 @@
 
 use llc_cache_model::SetLocation;
 use rand::Rng;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// The one-time warning printed when an aggregate-fidelity configuration
-/// degrades to per-event dispatch (see
-/// [`NoiseProcess::set_per_event_fallback`]).
-pub const AGGREGATE_FALLBACK_WARNING: &str = "noise fidelity 'aggregate' degraded to per-event \
-     dispatch: the reuse predictor is active (reuse_insert_probability > 0), and the bulk \
-     evict-and-fill transition cannot reproduce its mid-burst re-insertions. The run is \
-     bit-faithful but ~5x slower than an aggregate configuration implies; report headers show \
-     the effective fidelity.";
-
-/// Process-wide latch for the one-time fallback warning.
-static AGGREGATE_FALLBACK_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// True once the aggregate-fallback warning has been emitted by this
-/// process (test hook; see [`NoiseProcess::set_per_event_fallback`]).
-pub fn aggregate_fallback_warned() -> bool {
-    AGGREGATE_FALLBACK_WARNED.load(Ordering::Relaxed)
-}
 
 /// Parameters of the background-tenant access process.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,21 +173,16 @@ pub struct NoiseProcess {
     last_sync: Vec<u64>,
     /// Sets per slice of the flattened index space.
     sets_per_slice: usize,
-    /// Maximum number of noise insertions applied in one catch-up; older
-    /// insertions are fully masked by newer ones, so this only needs to cover
-    /// a few times the associativity.
-    max_burst: u32,
-    /// True when the hierarchy this process feeds dispatches aggregate
-    /// advances per event anyway (the reuse-predictor fallback of
-    /// `Hierarchy::noise_advance_bulk`), in which case the *effective*
-    /// fidelity of an `Aggregate` configuration is `Exact`. Set by the
-    /// machine layer at build time; see [`NoiseProcess::effective_fidelity`].
-    per_event_fallback: bool,
     /// Reusable event buffer filled by [`NoiseProcess::catch_up`]. Its
     /// contents are dead between calls; it exists only so the hot path does
-    /// not allocate. Capacity converges to `max_burst` and stays there.
+    /// not allocate. Capacity converges to `MAX_BURST` and stays there.
     scratch: Vec<NoiseEvent>,
 }
+
+/// Maximum number of noise insertions applied in one exact catch-up; older
+/// insertions are fully masked by newer ones, so this only needs to cover a
+/// few times the associativity.
+const MAX_BURST: u64 = 96;
 
 impl Clone for NoiseProcess {
     /// Clones the process state. The event scratch buffer is deliberately
@@ -218,8 +194,6 @@ impl Clone for NoiseProcess {
             fidelity: self.fidelity,
             last_sync: self.last_sync.clone(),
             sets_per_slice: self.sets_per_slice,
-            max_burst: self.max_burst,
-            per_event_fallback: self.per_event_fallback,
             scratch: Vec::new(),
         }
     }
@@ -256,8 +230,6 @@ impl NoiseProcess {
             fidelity,
             last_sync: vec![NEVER_SYNCED; sets_per_slice * num_slices],
             sets_per_slice,
-            max_burst: 96,
-            per_event_fallback: false,
             scratch: Vec::new(),
         }
     }
@@ -274,43 +246,6 @@ impl NoiseProcess {
         self.fidelity
     }
 
-    /// Records whether the consuming hierarchy degrades aggregate advances
-    /// to per-event dispatch (e.g. its reuse predictor is active, which
-    /// forces `Hierarchy::noise_advance_bulk` onto the exact per-event
-    /// path).
-    ///
-    /// When an **aggregate** configuration hits this fallback, a one-time
-    /// warning ([`AGGREGATE_FALLBACK_WARNING`]) is printed to stderr — a
-    /// campaign cell that silently ran ~5× slower than its preset implies
-    /// was only discoverable from a header tag before. The warning fires at
-    /// most once per process; report headers still carry the per-run
-    /// effective-fidelity tag.
-    pub fn set_per_event_fallback(&mut self, fallback: bool) {
-        self.per_event_fallback = fallback;
-        if fallback
-            && self.fidelity == NoiseFidelity::Aggregate
-            && !AGGREGATE_FALLBACK_WARNED.swap(true, Ordering::Relaxed)
-        {
-            eprintln!("warning: {AGGREGATE_FALLBACK_WARNING}");
-        }
-    }
-
-    /// The fidelity the simulation *actually runs at*.
-    ///
-    /// `NoiseFidelity::Aggregate` silently degrades to per-event dispatch
-    /// when the hierarchy's reuse predictor is enabled — the bulk
-    /// evict-and-fill transition cannot reproduce the predictor's mid-burst
-    /// SF→LLC re-insertions, so `Hierarchy::noise_advance_bulk` replays
-    /// events one by one. Report headers must print this value rather than
-    /// [`NoiseProcess::fidelity`], otherwise such runs are mislabelled as
-    /// aggregate.
-    pub fn effective_fidelity(&self) -> NoiseFidelity {
-        match self.fidelity {
-            NoiseFidelity::Aggregate if self.per_event_fallback => NoiseFidelity::Exact,
-            configured => configured,
-        }
-    }
-
     /// Copies `source`'s state into `self` in place, reusing the
     /// synchronisation vector's allocation (hot path of machine restores).
     /// The event scratch buffer is per-machine transient state and keeps
@@ -320,8 +255,6 @@ impl NoiseProcess {
         self.fidelity = source.fidelity;
         self.last_sync.clone_from(&source.last_sync);
         self.sets_per_slice = source.sets_per_slice;
-        self.max_burst = source.max_burst;
-        self.per_event_fallback = source.per_event_fallback;
     }
 
     /// Flat `last_sync` index of `loc`. The vector covers the whole slice
@@ -339,9 +272,9 @@ impl NoiseProcess {
     ///
     /// The returned events are ordered by timestamp and borrowed from an
     /// internal scratch buffer (valid until the next `catch_up` call), so
-    /// the traversal hot path allocates nothing. At most `max_burst` events
+    /// the traversal hot path allocates nothing. At most `MAX_BURST` events
     /// are produced; when the Poisson draw for the gap exceeds that cap, the
-    /// burst is *thinned*: `max_burst` insertion timestamps are sampled
+    /// burst is *thinned*: `MAX_BURST` insertion timestamps are sampled
     /// uniformly over the **whole** gap (not just its most recent portion).
     /// This bounds the per-catch-up work without biasing where in the gap
     /// insertions land; a gap long enough to hit the cap has filled the set
@@ -354,7 +287,7 @@ impl NoiseProcess {
             return &self.scratch;
         }
         let lambda = gap as f64 * self.model.accesses_per_cycle_per_set;
-        let count = sample_poisson(lambda, rng).min(self.max_burst as u64);
+        let count = sample_poisson(lambda, rng).min(MAX_BURST);
         let span = gap.max(1);
         let shared_fraction = self.model.shared_fraction;
         self.scratch.extend((0..count).map(|_| NoiseEvent {
@@ -364,7 +297,7 @@ impl NoiseProcess {
         // Stable insertion sort by timestamp: identical output (ties
         // included) to the slice stable sort it replaces, but without the
         // merge buffer std's stable sort heap-allocates — bursts are capped
-        // at `max_burst`, so quadratic worst case is bounded and rare.
+        // at `MAX_BURST`, so quadratic worst case is bounded and rare.
         let events = self.scratch.as_mut_slice();
         for i in 1..events.len() {
             let mut j = i;
@@ -409,7 +342,7 @@ impl NoiseProcess {
     /// * **Long windows**: two independent draws at the thinned rates, each
     ///   taking `sample_poisson`'s constant-cost branch.
     ///
-    /// The counts are *not* capped at the exact path's `max_burst`: the bulk
+    /// The counts are *not* capped at the exact path's `MAX_BURST`: the bulk
     /// applier does `O(min(count, ways))` work regardless, so saturating
     /// gaps stay cheap without biasing the count distribution.
     ///
@@ -548,7 +481,7 @@ mod tests {
     }
 
     /// Pins the capped-burst semantics: when the Poisson draw for a long gap
-    /// exceeds `max_burst`, the burst is *thinned* — `max_burst` timestamps
+    /// exceeds `MAX_BURST`, the burst is *thinned* — `MAX_BURST` timestamps
     /// sampled uniformly over the whole gap — not truncated to the gap's
     /// most recent portion. The doc comment promises exactly this; if the
     /// sampling ever changes (e.g. to a genuinely "most recent events"
@@ -563,7 +496,7 @@ mod tests {
         // 100 ms at 2 GHz: the expected count (~1150) is far beyond the cap.
         let gap = 200_000_000u64;
         let events = p.catch_up(loc, gap, &mut rng).to_vec();
-        assert_eq!(events.len(), 96, "burst must cap at max_burst");
+        assert_eq!(events.len(), 96, "burst must cap at MAX_BURST");
         // Uniform sampling over the gap: every quarter of the window holds
         // events. A "most recent" scheme would leave the early quarters empty.
         for quarter in 0..4u64 {
@@ -691,29 +624,6 @@ mod tests {
         q.restore_from(&p);
         assert_eq!(q.fidelity(), NoiseFidelity::Aggregate);
         assert_eq!(q.model(), p.model());
-    }
-
-    /// The per-event fallback downgrades the *effective* fidelity of an
-    /// aggregate configuration (never of an exact one), and the flag
-    /// survives clone + restore_from so snapshot rewinds keep reporting
-    /// truthfully.
-    #[test]
-    fn effective_fidelity_reports_per_event_fallback() {
-        let mut p = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Aggregate, 64, 2);
-        assert_eq!(p.effective_fidelity(), NoiseFidelity::Aggregate);
-        p.set_per_event_fallback(true);
-        assert_eq!(p.fidelity(), NoiseFidelity::Aggregate, "configured fidelity is unchanged");
-        assert_eq!(p.effective_fidelity(), NoiseFidelity::Exact);
-
-        let c = p.clone();
-        assert_eq!(c.effective_fidelity(), NoiseFidelity::Exact);
-        let mut q = NoiseProcess::new(NoiseModel::silent(), NoiseFidelity::Exact, 64, 2);
-        q.restore_from(&p);
-        assert_eq!(q.effective_fidelity(), NoiseFidelity::Exact);
-
-        let mut exact = NoiseProcess::new(NoiseModel::cloud_run(), NoiseFidelity::Exact, 64, 2);
-        exact.set_per_event_fallback(true);
-        assert_eq!(exact.effective_fidelity(), NoiseFidelity::Exact);
     }
 
     #[test]

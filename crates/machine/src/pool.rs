@@ -26,8 +26,8 @@
 //! experiment default uses, a pooled machine and a fresh build are
 //! byte-identical (pinned by this module's tests). Keys must therefore
 //! capture everything that distinguishes one build from another: spec,
-//! environment, noise fidelity, hierarchy options, *and* build seed if the
-//! caller runs `Random` replacement.
+//! environment, noise fidelity, *and* build seed if the caller runs
+//! `Random` replacement.
 //!
 //! Machines checked into a pool must not have a victim installed
 //! ([`Machine::snapshot`] enforces this at build time).

@@ -70,7 +70,7 @@ fn plan_based_probe_loop_is_allocation_free() {
     // level scratch, the noise process's event scratch and the hierarchy's
     // back-invalidation queue. The first traverse only *synchronises* the
     // never-touched sets (no burst); the long idle after it makes the second
-    // traverse catch up a capped `max_burst` burst on every set, which is
+    // traverse catch up a capped `MAX_BURST` burst on every set, which is
     // the scratch buffers' high-water mark.
     machine.parallel_traverse_plan(&plan);
     machine.idle(500_000_000);
