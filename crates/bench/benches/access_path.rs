@@ -14,9 +14,10 @@
 //!   lookup + invalidate + SF-allocate transition;
 //! * `full_miss` — fresh lines every access: the complete miss path with
 //!   private fills, SF allocation and displacement handling;
-//! * `echo_pair` — an attacker read, then a helper-core read, of each line
-//!   of an SF candidate pool (`BATCH` pairs per iteration), the traffic
-//!   shape of eviction-set pruning with the helper thread echoing.
+//! * `echo_pair` — a helper-echoed read (`Hierarchy::echoed_read`: an
+//!   attacker read, then a helper-core read) of each line of an SF
+//!   candidate pool (`BATCH` pairs per iteration), the path eviction-set
+//!   pruning takes with the helper thread echoing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use llc_cache_model::{AccessKind, CacheSpec, Hierarchy, LineAddr};
@@ -91,7 +92,8 @@ fn bench_access_path(c: &mut Criterion) {
     // page offset on a 4-slice host (U = 128 sets, W = 12 ways). 36 pool
     // lines map to each 11-way LLC set, so in steady state the attacker's
     // read misses to memory (private fill + SF allocation) and the helper's
-    // read is an SF snoop (owner downgrade, LLC insert, Shared fill).
+    // half is the SF snoop (owner downgrade, LLC insert, Shared fill) that
+    // `echoed_read` applies at the ways the attacker's fill took.
     group.bench_function(format!("echo_pair_{BATCH}"), |b| {
         let mut h = Hierarchy::new(CacheSpec::skylake_sp(4, 4), 4);
         let pool: Vec<LineAddr> =
@@ -101,8 +103,8 @@ fn bench_access_path(c: &mut Criterion) {
             let mut served = 0u64;
             for _ in 0..BATCH {
                 let line = pool[cursor];
-                served += h.access(0, line, AccessKind::Read).level as u64;
-                served += h.access(1, line, AccessKind::Read).level as u64;
+                let loc = h.shared_location(line);
+                served += h.echoed_read(0, 1, line, loc) as u64;
                 cursor = (cursor + 1) % pool.len();
             }
             black_box(served)

@@ -39,16 +39,19 @@ impl<T: Copy + Default> Cache<T> {
     }
 
     /// Set index of a line in this cache.
+    #[inline]
     pub fn set_index(&self, line: LineAddr) -> usize {
         self.geometry.set_index(line)
     }
 
     /// Returns true if `line` is present.
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.arena.view(self.set_index(line)).contains(line)
     }
 
     /// Looks up `line`, updating replacement state on a hit.
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut T> {
         let idx = self.set_index(line);
         self.arena.view_mut(idx).lookup(line)
@@ -66,13 +69,29 @@ impl<T: Copy + Default> Cache<T> {
     }
 
     /// Inserts `line`, which the caller knows is absent, without scanning
-    /// for it (see `SetViewMut::insert_absent`).
-    pub(crate) fn insert_absent(&mut self, line: LineAddr, payload: T) -> Option<Entry<T>> {
+    /// for it (see `SetViewMut::insert_absent`); returns the way it took and
+    /// any evicted entry.
+    #[inline]
+    pub(crate) fn insert_absent(
+        &mut self,
+        line: LineAddr,
+        payload: T,
+    ) -> (usize, Option<Entry<T>>) {
         let idx = self.set_index(line);
         self.arena.view_mut(idx).insert_absent(line, payload)
     }
 
+    /// A hit on `line`, which the caller knows is at `way` of its set:
+    /// [`Cache::lookup`] without the tag scan (see `SetViewMut::touch_way`).
+    #[inline]
+    pub(crate) fn touch_way(&mut self, line: LineAddr, way: usize) -> &mut T {
+        let idx = self.set_index(line);
+        debug_assert_eq!(self.arena.view(idx).way_of(line), Some(way), "line is not at the way");
+        self.arena.view_mut(idx).touch_way(way)
+    }
+
     /// Removes `line`, returning its payload if present.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<T> {
         let idx = self.set_index(line);
         self.arena.view_mut(idx).invalidate(line)
@@ -174,17 +193,20 @@ impl<T: Copy + Default> SlicedCache<T> {
     /// [`SlicedCache::lookup`] with a pre-computed location, so a caller that
     /// touches several structures sharing one slice hash (the hierarchy's
     /// LLC + SF access path) pays the hash once.
+    #[inline]
     pub fn lookup_at(&mut self, loc: SetLocation, line: LineAddr) -> Option<&mut T> {
         let idx = self.flat(loc);
         self.arena.view_mut(idx).lookup(line)
     }
 
     /// [`SlicedCache::peek`] with a pre-computed location.
+    #[inline]
     pub fn peek_at(&self, loc: SetLocation, line: LineAddr) -> Option<&T> {
         self.arena.view(self.flat(loc)).peek(line)
     }
 
     /// [`SlicedCache::invalidate`] with a pre-computed location.
+    #[inline]
     pub fn invalidate_at(&mut self, loc: SetLocation, line: LineAddr) -> Option<T> {
         let idx = self.flat(loc);
         self.arena.view_mut(idx).invalidate(line)
@@ -220,15 +242,25 @@ impl<T: Copy + Default> SlicedCache<T> {
     }
 
     /// [`SlicedCache::insert_at`] for a line the caller knows is absent from
-    /// that set, without scanning for it (see `SetViewMut::insert_absent`).
+    /// that set, without scanning for it (see `SetViewMut::insert_absent`);
+    /// returns the way it took and any evicted entry.
+    #[inline]
     pub(crate) fn insert_absent_at(
         &mut self,
         loc: SetLocation,
         line: LineAddr,
         payload: T,
-    ) -> Option<Entry<T>> {
+    ) -> (usize, Option<Entry<T>>) {
         let idx = self.flat(loc);
         self.arena.view_mut(idx).insert_absent(line, payload)
+    }
+
+    /// Invalidates the line the caller knows is at `way` of the set at
+    /// `loc` (see `SetViewMut::invalidate_way`).
+    #[inline]
+    pub(crate) fn invalidate_way_at(&mut self, loc: SetLocation, way: usize) {
+        let idx = self.flat(loc);
+        self.arena.view_mut(idx).invalidate_way(way);
     }
 
     /// Removes `line`, returning its payload if present.

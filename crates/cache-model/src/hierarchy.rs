@@ -12,6 +12,9 @@
 //!   owning cores' private caches.
 //! * A request that hits another core's private line (an SF hit) transitions
 //!   the line to Shared and moves it into the LLC.
+//! * Each LLC line carries sharer bits, as a directory does: a superset of
+//!   the cores that may hold a private copy. Evicting an LLC line
+//!   back-invalidates only those cores' copies.
 //!
 //! The `Inclusive` and `Exclusive` policies replace only the *shared stage*
 //! of the access path (which structure backs a line and whose evictions
@@ -55,7 +58,16 @@ impl Default for PrivLine {
 
 /// Payload stored in LLC ways. LLC-resident lines are Shared by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LlcLine;
+pub struct LlcLine {
+    /// Bitmask of cores that may hold a private copy: a superset, as a
+    /// directory's sharer bits are. A bit is set wherever a copy is made and
+    /// never cleared when a copy leaves without coherence traffic, so the
+    /// walks over it (the back-invalidation of an evicted line, and whether
+    /// another core holds a copy) visit every core that does. Zero for
+    /// synthetic background-noise lines and for the exclusive policy's
+    /// victim-cache lines, which no private cache holds.
+    pub sharers: u64,
+}
 
 /// Payload stored in snoop-filter ways: which cores own a private copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,21 +82,26 @@ pub struct SfEntry {
 
 impl SfEntry {
     fn owner(core: usize) -> Self {
-        Self { owners: 1 << core }
+        Self { owners: core_bit(core) }
     }
+}
 
-    /// The owning core ids in ascending order: one step per set bit.
-    fn iter_owners(self) -> impl Iterator<Item = usize> {
-        let mut mask = self.owners;
-        std::iter::from_fn(move || {
-            if mask == 0 {
-                return None;
-            }
-            let core = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(core)
-        })
-    }
+/// The bit of `core` in an owner or sharer mask.
+fn core_bit(core: CoreId) -> u64 {
+    1 << core
+}
+
+/// The core ids of an owner or sharer mask in ascending order: one step per
+/// set bit.
+fn cores_in(mut mask: u64) -> impl Iterator<Item = CoreId> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let core = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(core)
+    })
 }
 
 /// Identifies a core of the simulated machine.
@@ -122,6 +139,17 @@ pub struct AccessOutcome {
     /// Whether the access allocated a new SF entry and thereby evicted
     /// another tenant/core's SF entry.
     pub displaced_sf_entry: bool,
+}
+
+/// The ways a read's private fill and SF allocation took when it left the
+/// line Exclusive in the requester's caches under the non-inclusive policy.
+/// [`Hierarchy::echoed_read`] applies the helper's half at these ways
+/// instead of looking the line up again.
+#[derive(Debug, Clone, Copy)]
+struct FillWays {
+    l1: usize,
+    l2: usize,
+    sf: usize,
 }
 
 /// An empty options value, kept only because the repository benchmark
@@ -248,15 +276,6 @@ fn push_distinct(rows: &mut Vec<usize>, row: usize) {
 /// out (frame numbers are bounded by physical memory size).
 const NOISE_LINE_BASE: u64 = 1 << 56;
 
-/// Bitmask with one bit set per core id in `0..cores`.
-fn core_mask(cores: usize) -> u64 {
-    if cores >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << cores) - 1
-    }
-}
-
 impl Hierarchy {
     /// Creates an empty hierarchy for `spec`, composed according to
     /// `spec.hierarchy`: its inclusion policy, its slice hash for the LLC
@@ -380,16 +399,117 @@ impl Hierarchy {
         loc: SetLocation,
         kind: AccessKind,
     ) -> AccessOutcome {
+        self.access_path(core, line, loc, kind).0
+    }
+
+    /// A read of `line` by `core`, echoed right after by a read from
+    /// `helper`: the helper thread of the paper's pruning (Section 4.2),
+    /// which turns the line Shared and pushes it into the LLC. Returns the
+    /// level that served `core`. The outcome is that of an
+    /// [`Hierarchy::access_at`] read from `core` and then one from `helper`,
+    /// bit for bit.
+    ///
+    /// When `core`'s read leaves the line Exclusive under the non-inclusive
+    /// policy — the fill from memory, or a Shared LLC hit that no other core
+    /// holds, which moves the line from the LLC to an SF entry — it has
+    /// decided every lookup of the helper's read. The helper's L1 and L2
+    /// miss and so does the LLC, since every private copy is backed by the
+    /// LLC or the SF and the two never hold the same line; the SF holds the
+    /// line at the way the fill took, owned by `core` alone. Misses have no
+    /// side effects, so the helper's half applies only the updates of the
+    /// SF-snoop read those lookups lead to, in the same order: it frees that
+    /// SF way, touches `core`'s L1 and L2 ways and marks them Shared, inserts
+    /// the line into the LLC with sharers `{core, helper}` and fills the
+    /// helper's private caches. Every other outcome, and every other
+    /// inclusion policy, makes the helper's read a plain `access_at`.
+    pub fn echoed_read(
+        &mut self,
+        core: CoreId,
+        helper: CoreId,
+        line: LineAddr,
+        loc: SetLocation,
+    ) -> HitLevel {
+        assert!(helper < self.spec.cores, "core {helper} out of range");
+        let (outcome, fill) = self.access_path(core, line, loc, AccessKind::Read);
+        match fill {
+            Some(fill) if helper != core => self.echo_exclusive_fill(core, helper, line, loc, fill),
+            _ => {
+                self.access_at(helper, line, loc, AccessKind::Read);
+            }
+        }
+        outcome.level
+    }
+
+    /// The helper's half of [`Hierarchy::echoed_read`] after `core`'s read
+    /// left `line` Exclusive at `fill`'s ways: the SF-snoop read of
+    /// `access_at` with the outcome of each of its lookups known.
+    fn echo_exclusive_fill(
+        &mut self,
+        core: CoreId,
+        helper: CoreId,
+        line: LineAddr,
+        loc: SetLocation,
+        fill: FillWays,
+    ) {
+        debug_assert!(!self.l1[helper].contains(line), "the helper's L1 holds the line");
+        debug_assert!(!self.l2[helper].contains(line), "the helper's L2 holds the line");
+        debug_assert!(self.llc.peek_at(loc, line).is_none(), "the LLC holds the line");
+        let sf = self.sf.set_view(loc);
+        debug_assert_eq!(sf.line(fill.sf), Some(line), "the SF way does not hold the line");
+        debug_assert_eq!(sf.payload(fill.sf), Some(&SfEntry::owner(core)), "SF owners");
+        self.sf.invalidate_way_at(loc, fill.sf);
+        self.l1[core].touch_way(line, fill.l1).state = CoherenceState::Shared;
+        self.l2[core].touch_way(line, fill.l2).state = CoherenceState::Shared;
+        self.insert_llc_at(loc, line, core_bit(core) | core_bit(helper));
+        self.fill_private(helper, line, CoherenceState::Shared);
+    }
+
+    /// [`Hierarchy::access_at`], also returning the ways a read filled when
+    /// it leaves `line` Exclusive under the non-inclusive policy (see
+    /// [`Hierarchy::echoed_read`]).
+    #[inline]
+    fn access_path(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        loc: SetLocation,
+        kind: AccessKind,
+    ) -> (AccessOutcome, Option<FillWays>) {
         assert!(core < self.spec.cores, "core {core} out of range");
         debug_assert_eq!(loc, self.llc.location(line), "location does not match the line");
+        if let Some(outcome) = self.private_stage(core, line, loc, kind) {
+            return (outcome, None);
+        }
+        // Shared stage: which structure backs the line, and how it moves
+        // into the private caches, is the inclusion policy.
+        match self.inclusion() {
+            InclusionPolicy::NonInclusive => self.shared_stage_non_inclusive(core, line, loc, kind),
+            InclusionPolicy::Inclusive => {
+                (self.shared_stage_inclusive(core, line, loc, kind), None)
+            }
+            InclusionPolicy::Exclusive => {
+                (self.shared_stage_exclusive(core, line, loc, kind), None)
+            }
+        }
+    }
 
-        // 1. Private L1. The private stage is common to every inclusion
-        //    policy; only the backing-recency refresh and the Shared→Modified
-        //    write upgrade dispatch on it.
+    /// Steps 1–2 of an access: `core`'s L1 and L2. The private stage is
+    /// common to every inclusion policy; only the backing-recency refresh
+    /// and the Shared→Modified write upgrade dispatch on it. `None` when
+    /// both miss.
+    #[inline]
+    fn private_stage(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        loc: SetLocation,
+        kind: AccessKind,
+    ) -> Option<AccessOutcome> {
+        // 1. Private L1.
         if let Some(entry) = self.l1[core].lookup(line) {
             let state = entry.state;
             if kind == AccessKind::Write && state == CoherenceState::Shared {
-                return self.write_upgrade_private(core, line, loc, HitLevel::L1);
+                return Some(self.write_upgrade_private(core, line, loc, HitLevel::L1));
             }
             if kind == AccessKind::Write {
                 entry.state = CoherenceState::Modified;
@@ -397,37 +517,28 @@ impl Hierarchy {
                     l2.state = CoherenceState::Modified;
                 }
                 self.refresh_backing_recency_at(loc, line, state);
-                return AccessOutcome { level: HitLevel::L1, displaced_sf_entry: false };
+                return Some(AccessOutcome { level: HitLevel::L1, displaced_sf_entry: false });
             }
             self.refresh_backing_recency_at(loc, line, state);
             let _ = self.l2[core].lookup(line); // keep the L2 copy warm as well
-            return AccessOutcome { level: HitLevel::L1, displaced_sf_entry: false };
+            return Some(AccessOutcome { level: HitLevel::L1, displaced_sf_entry: false });
         }
 
         // 2. Private L2.
-        if let Some(entry) = self.l2[core].lookup(line) {
-            let state = entry.state;
-            if kind == AccessKind::Write && state == CoherenceState::Shared {
-                return self.write_upgrade_private(core, line, loc, HitLevel::L2);
-            }
-            if kind == AccessKind::Write {
-                self.l2[core].lookup(line).expect("just hit").state = CoherenceState::Modified;
-                self.fill_l1(core, line, CoherenceState::Modified);
-                self.refresh_backing_recency_at(loc, line, state);
-                return AccessOutcome { level: HitLevel::L2, displaced_sf_entry: false };
-            }
-            self.fill_l1(core, line, state);
+        let entry = self.l2[core].lookup(line)?;
+        let state = entry.state;
+        if kind == AccessKind::Write && state == CoherenceState::Shared {
+            return Some(self.write_upgrade_private(core, line, loc, HitLevel::L2));
+        }
+        if kind == AccessKind::Write {
+            entry.state = CoherenceState::Modified;
+            self.fill_l1(core, line, CoherenceState::Modified);
             self.refresh_backing_recency_at(loc, line, state);
-            return AccessOutcome { level: HitLevel::L2, displaced_sf_entry: false };
+            return Some(AccessOutcome { level: HitLevel::L2, displaced_sf_entry: false });
         }
-
-        // Shared stage: which structure backs the line, and how it moves
-        // into the private caches, is the inclusion policy.
-        match self.inclusion() {
-            InclusionPolicy::NonInclusive => self.shared_stage_non_inclusive(core, line, loc, kind),
-            InclusionPolicy::Inclusive => self.shared_stage_inclusive(core, line, loc, kind),
-            InclusionPolicy::Exclusive => self.shared_stage_exclusive(core, line, loc, kind),
-        }
+        self.fill_l1(core, line, state);
+        self.refresh_backing_recency_at(loc, line, state);
+        Some(AccessOutcome { level: HitLevel::L2, displaced_sf_entry: false })
     }
 
     /// Reads `lines` from `core` in order, all of them in the one LLC/SF set
@@ -532,10 +643,10 @@ impl Hierarchy {
         let rows = &entry.rows;
         let (core, shared) = (rows.core, &rows.shared);
         let save = |h: &Self, out: &mut Footprint| {
-            h.l1[core].arena.save_rows(&rows.l1, &mut out.l1);
-            h.l2[core].arena.save_rows(&rows.l2, &mut out.l2);
-            h.llc.arena.save_rows(shared, &mut out.llc);
-            h.sf.arena.save_rows(shared, &mut out.sf);
+            h.l1[core].arena.save_rows(&rows.l1, true, &mut out.l1);
+            h.l2[core].arena.save_rows(&rows.l2, true, &mut out.l2);
+            h.llc.arena.save_rows(shared, true, &mut out.llc);
+            h.sf.arena.save_rows(shared, true, &mut out.sf);
         };
         save(self, &mut check.before);
         self.read_each(core, &entry.lines, loc, &mut check.levels);
@@ -550,11 +661,15 @@ impl Hierarchy {
         assert!(check.before == check.simulated, "replayed sets differ from the simulation");
     }
 
+    /// Saves the footprint's sets. The LLC and SF rows are saved without
+    /// their payloads: an all-private-hit traversal only touches its lines'
+    /// entries there, so it neither reads nor writes sharer or owner bits,
+    /// and a replay leaves them as they are.
     fn save_footprint(&self, rows: &FootprintRows, out: &mut Footprint) {
-        self.l1[rows.core].arena.save_rows(&rows.l1, &mut out.l1);
-        self.l2[rows.core].arena.save_rows(&rows.l2, &mut out.l2);
-        self.llc.arena.save_rows(&rows.shared, &mut out.llc);
-        self.sf.arena.save_rows(&rows.shared, &mut out.sf);
+        self.l1[rows.core].arena.save_rows(&rows.l1, true, &mut out.l1);
+        self.l2[rows.core].arena.save_rows(&rows.l2, true, &mut out.l2);
+        self.llc.arena.save_rows(&rows.shared, false, &mut out.llc);
+        self.sf.arena.save_rows(&rows.shared, false, &mut out.sf);
     }
 
     fn footprint_equals(&self, rows: &FootprintRows, saved: &Footprint) -> bool {
@@ -571,43 +686,51 @@ impl Hierarchy {
         self.sf.arena.load_rows(&rows.shared, &saved.sf);
     }
 
-    /// Steps 3–5 of the paper's non-inclusive protocol (Section 2.3).
+    /// Steps 3–5 of the paper's non-inclusive protocol (Section 2.3). A
+    /// read that leaves the line Exclusive also returns the ways it filled.
     fn shared_stage_non_inclusive(
         &mut self,
         core: CoreId,
         line: LineAddr,
         loc: SetLocation,
         kind: AccessKind,
-    ) -> AccessOutcome {
+    ) -> (AccessOutcome, Option<FillWays>) {
         let state_on_fill = match kind {
             AccessKind::Read => CoherenceState::Exclusive,
             AccessKind::Write => CoherenceState::Modified,
         };
 
         // 3. Shared LLC: the line is Shared somewhere in the package.
-        if self.llc.lookup_at(loc, line).is_some() {
+        if let Some(entry) = self.llc.lookup_at(loc, line) {
+            // The requester's bit is set before knowing whether the line
+            // stays: every path below that moves it out invalidates the
+            // entry, so the bit only matters where a Shared copy is made.
+            let sharers = entry.sharers;
+            entry.sharers |= core_bit(core);
             if kind == AccessKind::Write {
                 // Read-for-ownership: every other copy is invalidated and
                 // the writer takes the line private in Modified state.
                 self.invalidate_other_private(core, line);
                 self.llc.invalidate_at(loc, line);
                 self.fill_private(core, line, CoherenceState::Modified);
-                let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
-                return AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: displaced };
+                let (_, displaced) = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+                let outcome = AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: displaced };
+                return (outcome, None);
             }
             // Section 2.3: when an LLC-resident line needs to transition to a
             // private state (no other core still holds a copy), it is removed
             // from the LLC and an SF entry is allocated to track it. This is
             // what lets an attacker re-prime a snoop-filter set with lines
             // that previously lived in the LLC.
-            if self.other_core_has_private_copy(core, line) {
+            if self.other_core_has_private_copy(core, line, sharers) {
                 self.fill_private(core, line, CoherenceState::Shared);
-                return AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: false };
+                return (AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: false }, None);
             }
             self.llc.invalidate_at(loc, line);
-            self.fill_private(core, line, state_on_fill);
-            let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
-            return AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: displaced };
+            let (l1, l2) = self.fill_private(core, line, state_on_fill);
+            let (sf, displaced) = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+            let outcome = AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: displaced };
+            return (outcome, Some(FillWays { l1, l2, sf }));
         }
 
         // 4. Snoop filter: the line is private to another core (or the same
@@ -616,29 +739,27 @@ impl Hierarchy {
         if let Some(entry) = self.sf.peek_at(loc, line).copied() {
             self.sf.invalidate_at(loc, line);
             if kind == AccessKind::Write {
-                for owner in entry.iter_owners() {
-                    if owner < self.spec.cores {
-                        self.l1[owner].invalidate(line);
-                        self.l2[owner].invalidate(line);
-                    }
-                }
+                self.back_invalidate(line, entry.owners);
                 self.fill_private(core, line, CoherenceState::Modified);
-                let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
-                return AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: displaced };
+                let (_, displaced) = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+                let outcome =
+                    AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: displaced };
+                return (outcome, None);
             }
-            for owner in entry.iter_owners() {
+            for owner in cores_in(entry.owners) {
                 if owner < self.spec.cores {
                     self.downgrade_to_shared(owner, line);
                 }
             }
-            self.insert_llc_at(loc, line);
+            self.insert_llc_at(loc, line, entry.owners | core_bit(core));
             self.fill_private(core, line, CoherenceState::Shared);
-            return AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: false };
+            return (AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: false }, None);
         }
 
         // 5. Miss everywhere: fetch from memory, install privately, allocate
         //    an SF entry to track the new private line.
-        self.fill_from_memory(core, line, loc, state_on_fill)
+        let (outcome, ways) = self.fill_from_memory(core, line, loc, state_on_fill);
+        (outcome, (kind == AccessKind::Read).then_some(ways))
     }
 
     /// Shared stage of the inclusive policy: the LLC is a superset of every
@@ -656,11 +777,17 @@ impl Hierarchy {
             AccessKind::Read => CoherenceState::Exclusive,
             AccessKind::Write => CoherenceState::Modified,
         };
-        if self.llc.lookup_at(loc, line).is_some() {
+        if let Some(entry) = self.llc.lookup_at(loc, line) {
+            // A write leaves the writer the only holder.
+            let sharers = entry.sharers;
+            entry.sharers = match kind {
+                AccessKind::Read => sharers | core_bit(core),
+                AccessKind::Write => core_bit(core),
+            };
             let state = if kind == AccessKind::Write {
                 self.invalidate_other_private(core, line);
                 CoherenceState::Modified
-            } else if self.other_core_has_private_copy(core, line) {
+            } else if self.other_core_has_private_copy(core, line, sharers) {
                 CoherenceState::Shared
             } else {
                 state_on_fill
@@ -668,7 +795,7 @@ impl Hierarchy {
             self.fill_private(core, line, state);
             return AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: false };
         }
-        self.insert_llc_at(loc, line);
+        self.insert_llc_at(loc, line, core_bit(core));
         self.fill_private(core, line, state_on_fill);
         AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: false }
     }
@@ -692,23 +819,18 @@ impl Hierarchy {
             // again, tracked by a fresh directory entry.
             self.llc.invalidate_at(loc, line);
             self.fill_private(core, line, state_on_fill);
-            let displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+            let (_, displaced) = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
             return AccessOutcome { level: HitLevel::Llc, displaced_sf_entry: displaced };
         }
         if let Some(entry) = self.sf.peek_at(loc, line).copied() {
             if kind == AccessKind::Write {
-                for owner in entry.iter_owners() {
-                    if owner < self.spec.cores {
-                        self.l1[owner].invalidate(line);
-                        self.l2[owner].invalidate(line);
-                    }
-                }
+                self.back_invalidate(line, entry.owners);
                 if let Some(e) = self.sf.lookup_at(loc, line) {
-                    e.owners = 1 << core;
+                    e.owners = core_bit(core);
                 }
                 self.fill_private(core, line, CoherenceState::Modified);
             } else {
-                for owner in entry.iter_owners() {
+                for owner in cores_in(entry.owners) {
                     if owner < self.spec.cores {
                         self.downgrade_to_shared(owner, line);
                     }
@@ -716,13 +838,13 @@ impl Hierarchy {
                 // The line stays out of the LLC (exclusivity); the directory
                 // entry simply gains the new sharer.
                 if let Some(e) = self.sf.lookup_at(loc, line) {
-                    e.owners |= 1 << core;
+                    e.owners |= core_bit(core);
                 }
                 self.fill_private(core, line, CoherenceState::Shared);
             }
             return AccessOutcome { level: HitLevel::SfSnoop, displaced_sf_entry: false };
         }
-        self.fill_from_memory(core, line, loc, state_on_fill)
+        self.fill_from_memory(core, line, loc, state_on_fill).0
     }
 
     /// Upgrades a Shared private hit to Modified (read-for-ownership): every
@@ -745,28 +867,26 @@ impl Hierarchy {
                 // private Modified line.
                 self.invalidate_other_private(core, line);
                 self.llc.invalidate_at(loc, line);
-                displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+                displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core)).1;
             }
             InclusionPolicy::Inclusive => {
                 // The LLC copy stays (inclusion); only the other private
-                // copies are invalidated.
+                // copies are invalidated, which leaves the writer the only
+                // sharer.
                 self.invalidate_other_private(core, line);
-                let _ = self.llc.lookup_at(loc, line);
+                if let Some(e) = self.llc.lookup_at(loc, line) {
+                    e.sharers = core_bit(core);
+                }
             }
             InclusionPolicy::Exclusive => {
                 // Invalidate the other sharers and collapse the directory
                 // entry to a single owner.
                 let owners = self.sf.peek_at(loc, line).map(|e| e.owners).unwrap_or(0);
-                for owner in (SfEntry { owners }).iter_owners() {
-                    if owner != core && owner < self.spec.cores {
-                        self.l1[owner].invalidate(line);
-                        self.l2[owner].invalidate(line);
-                    }
-                }
+                self.back_invalidate(line, owners & !core_bit(core));
                 if let Some(e) = self.sf.lookup_at(loc, line) {
-                    e.owners = 1 << core;
+                    e.owners = core_bit(core);
                 } else {
-                    displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+                    displaced = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core)).1;
                 }
             }
         }
@@ -801,36 +921,17 @@ impl Hierarchy {
     pub fn noise_access(&mut self, loc: SetLocation, shared: bool) {
         self.noise_counter += 1;
         let synthetic = LineAddr::from_line_number(NOISE_LINE_BASE + self.noise_counter);
-        match self.inclusion() {
-            InclusionPolicy::NonInclusive => {
-                if shared {
-                    if let Some(evicted) = self.llc.insert_at(loc, synthetic, LlcLine) {
-                        self.invalidate_private_everywhere(evicted.line);
-                    }
-                } else if let Some(evicted) = self.sf.insert_at(loc, synthetic, SfEntry::default())
-                {
-                    self.handle_sf_eviction(evicted.line, evicted.payload);
-                }
+        // The inclusive hierarchy has no SF: all background traffic, shared
+        // or private, contends in its LLC, and its evictions back-invalidate
+        // — the classic cross-core Prime+Probe interference. A line the
+        // exclusive LLC displaces has no private copies and no sharer bits,
+        // so it just drops.
+        if shared || self.inclusion() == InclusionPolicy::Inclusive {
+            if let Some(evicted) = self.llc.insert_at(loc, synthetic, LlcLine::default()) {
+                self.back_invalidate(evicted.line, evicted.payload.sharers);
             }
-            InclusionPolicy::Inclusive => {
-                // There is no SF: all background traffic, shared or private,
-                // contends in the (inclusive) LLC, and its evictions
-                // back-invalidate — the classic cross-core Prime+Probe
-                // interference.
-                if let Some(evicted) = self.llc.insert_at(loc, synthetic, LlcLine) {
-                    self.invalidate_private_everywhere(evicted.line);
-                }
-            }
-            InclusionPolicy::Exclusive => {
-                if shared {
-                    // Victim-cache fill by another tenant; the displaced line
-                    // has no private copies (exclusivity), so it just drops.
-                    let _ = self.llc.insert_at(loc, synthetic, LlcLine);
-                } else if let Some(evicted) = self.sf.insert_at(loc, synthetic, SfEntry::default())
-                {
-                    self.handle_sf_eviction(evicted.line, evicted.payload);
-                }
-            }
+        } else if let Some(evicted) = self.sf.insert_at(loc, synthetic, SfEntry::default()) {
+            self.back_invalidate(evicted.line, evicted.payload.owners);
         }
     }
 
@@ -866,7 +967,6 @@ impl Hierarchy {
 
         let mut pending = std::mem::take(&mut self.noise_evictions);
         pending.clear();
-        let all_cores = core_mask(self.spec.cores);
         {
             let mut llc_view = self.llc.set_view_mut(loc);
             let mut sf_view = self.sf.set_view_mut(loc);
@@ -877,15 +977,14 @@ impl Hierarchy {
                 // Back-invalidation is only queued when it can have an
                 // effect. In a long burst most victims are older synthetic
                 // noise lines, which never enter a private cache (noise
-                // inserts straight into the LLC/SF), and ownerless SF
-                // entries back-invalidate nobody — the per-event path's
-                // invalidations for both are guaranteed no-ops, so skipping
-                // them is state-identical and saves ~6 tag scans per
-                // evicted way.
+                // inserts straight into the LLC/SF) and so carry no sharer
+                // or owner bits — the per-event path's invalidations for
+                // them are guaranteed no-ops, so skipping them is
+                // state-identical and saves the per-core tag scans.
                 if is_shared {
-                    if let Some(evicted) = llc_view.insert(synthetic, LlcLine) {
-                        if evicted.line.line_number() < NOISE_LINE_BASE {
-                            pending.push((evicted.line, all_cores));
+                    if let Some(evicted) = llc_view.insert(synthetic, LlcLine::default()) {
+                        if evicted.payload.sharers != 0 {
+                            pending.push((evicted.line, evicted.payload.sharers));
                         }
                     }
                 } else if let Some(evicted) = sf_view.insert(synthetic, SfEntry::default()) {
@@ -896,13 +995,8 @@ impl Hierarchy {
                 next = events.next();
             }
         }
-        for &(line, owners) in &pending {
-            for core in 0..self.spec.cores {
-                if owners & (1 << core) != 0 {
-                    self.l1[core].invalidate(line);
-                    self.l2[core].invalidate(line);
-                }
-            }
+        for &(line, cores) in &pending {
+            self.back_invalidate(line, cores);
         }
         self.noise_evictions = pending;
     }
@@ -914,8 +1008,8 @@ impl Hierarchy {
     ///
     /// Back-invalidations of displaced real lines are deferred and applied
     /// after both structures advance, exactly as
-    /// [`Hierarchy::noise_access_bulk`] does; displaced synthetic noise
-    /// lines and ownerless SF entries are skipped for the same reason (their
+    /// [`Hierarchy::noise_access_bulk`] does; displaced lines without sharer
+    /// or owner bits are skipped for the same reason (their
     /// back-invalidations are guaranteed no-ops). Processing all LLC fills
     /// and then all SF fills is state-equivalent to any timestamp
     /// interleaving of the same counts: the two structures share no ways and
@@ -931,56 +1025,32 @@ impl Hierarchy {
 
         let mut pending = std::mem::take(&mut self.noise_evictions);
         pending.clear();
-        let all_cores = core_mask(self.spec.cores);
         // How many fills reach each structure is the inclusion policy's
         // noise model (mirroring `noise_access`): inclusive hierarchies have
-        // no SF so every event contends in the LLC; exclusive hierarchies
-        // drop LLC victims without back-invalidation (an LLC-resident line
-        // has no private copies).
+        // no SF so every event contends in the LLC. Exclusive hierarchies'
+        // LLC victims carry no sharer bits (an LLC-resident line has no
+        // private copies), so they drop without back-invalidation.
         let (llc_fills, sf_fills) = match self.inclusion() {
             InclusionPolicy::NonInclusive | InclusionPolicy::Exclusive => (llc_fills, sf_fills),
             InclusionPolicy::Inclusive => (llc_fills + sf_fills, 0),
         };
-        let llc_backinvalidates = self.inclusion() != InclusionPolicy::Exclusive;
-        {
-            let counter = &mut self.noise_counter;
-            let mut llc_view = self.llc.set_view_mut(loc);
-            llc_view.advance_fills(
-                llc_fills,
-                || {
-                    *counter += 1;
-                    LineAddr::from_line_number(NOISE_LINE_BASE + *counter)
-                },
-                |evicted| {
-                    if llc_backinvalidates && evicted.line.line_number() < NOISE_LINE_BASE {
-                        pending.push((evicted.line, all_cores));
-                    }
-                },
-            );
-        }
-        {
-            let counter = &mut self.noise_counter;
-            let mut sf_view = self.sf.set_view_mut(loc);
-            sf_view.advance_fills(
-                sf_fills,
-                || {
-                    *counter += 1;
-                    LineAddr::from_line_number(NOISE_LINE_BASE + *counter)
-                },
-                |evicted| {
-                    if evicted.payload.owners != 0 {
-                        pending.push((evicted.line, evicted.payload.owners));
-                    }
-                },
-            );
-        }
-        for &(line, owners) in &pending {
-            for core in 0..self.spec.cores {
-                if owners & (1 << core) != 0 {
-                    self.l1[core].invalidate(line);
-                    self.l2[core].invalidate(line);
-                }
+        let counter = &mut self.noise_counter;
+        let mut mint = |k: u64| {
+            *counter += k;
+            LineAddr::from_line_number(NOISE_LINE_BASE + *counter)
+        };
+        self.llc.set_view_mut(loc).advance_fills(llc_fills, &mut mint, |evicted| {
+            if evicted.payload.sharers != 0 {
+                pending.push((evicted.line, evicted.payload.sharers));
             }
+        });
+        self.sf.set_view_mut(loc).advance_fills(sf_fills, &mut mint, |evicted| {
+            if evicted.payload.owners != 0 {
+                pending.push((evicted.line, evicted.payload.owners));
+            }
+        });
+        for &(line, cores) in &pending {
+            self.back_invalidate(line, cores);
         }
         self.noise_evictions = pending;
     }
@@ -1083,36 +1153,45 @@ impl Hierarchy {
     // line — the shared stages, eviction handlers and back-invalidations
     // only look up, downgrade or invalidate private copies.
 
-    fn fill_l1(&mut self, core: CoreId, line: LineAddr, state: CoherenceState) {
+    /// Returns the L1 way the line took.
+    fn fill_l1(&mut self, core: CoreId, line: LineAddr, state: CoherenceState) -> usize {
         // L1 evictions silently drop the line; it normally remains in L2 or
         // the LLC, and losing a stale private copy only causes an extra miss.
-        let _ = self.l1[core].insert_absent(line, PrivLine { state });
+        self.l1[core].insert_absent(line, PrivLine { state }).0
     }
 
-    fn fill_private(&mut self, core: CoreId, line: LineAddr, state: CoherenceState) {
-        if let Some(evicted) = self.l2[core].insert_absent(line, PrivLine { state }) {
+    /// Returns the L1 and L2 ways the line took.
+    fn fill_private(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        state: CoherenceState,
+    ) -> (usize, usize) {
+        let (l2_way, evicted) = self.l2[core].insert_absent(line, PrivLine { state });
+        if let Some(evicted) = evicted {
             self.handle_l2_eviction(core, evicted.line, evicted.payload);
         }
-        self.fill_l1(core, line, state);
+        (self.fill_l1(core, line, state), l2_way)
     }
 
     /// The memory path of the SF-tracking policies: install `line`
     /// privately and allocate its SF entry. Both callers have just seen the
     /// SF miss `line` at `loc`, and the private fill never allocates an SF
-    /// entry, so the allocation skips the tag scan too.
+    /// entry, so the allocation skips the tag scan too. Returns the ways the
+    /// fill took.
     fn fill_from_memory(
         &mut self,
         core: CoreId,
         line: LineAddr,
         loc: SetLocation,
         state: CoherenceState,
-    ) -> AccessOutcome {
-        self.fill_private(core, line, state);
-        let evicted = self.sf.insert_absent_at(loc, line, SfEntry::owner(core));
-        if let Some(e) = evicted {
-            self.handle_sf_eviction(e.line, e.payload);
-        }
-        AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: evicted.is_some() }
+    ) -> (AccessOutcome, FillWays) {
+        let (l1, l2) = self.fill_private(core, line, state);
+        let (sf, displaced) = self.allocate_sf_entry_at(loc, line, SfEntry::owner(core));
+        (
+            AccessOutcome { level: HitLevel::Memory, displaced_sf_entry: displaced },
+            FillWays { l1, l2, sf },
+        )
     }
 
     fn handle_l2_eviction(&mut self, core: CoreId, line: LineAddr, payload: PrivLine) {
@@ -1152,8 +1231,8 @@ impl Hierarchy {
                     // Evictions displaced by this fill are dropped without
                     // back-invalidation: exclusivity guarantees an
                     // LLC-resident victim has no private copies (pinned by
-                    // the inclusion proptest suite).
-                    let _ = self.llc.insert_at(loc, line, LlcLine);
+                    // the inclusion proptest suite), so no sharer bits.
+                    let _ = self.llc.insert_at(loc, line, LlcLine::default());
                 } else if let Some(e) = self.sf.lookup_at(loc, line) {
                     e.owners = remaining;
                 }
@@ -1162,32 +1241,47 @@ impl Hierarchy {
     }
 
     /// Allocates an SF entry for `line` at its pre-computed shared location,
-    /// returning whether an existing entry (belonging to another core or
-    /// tenant) had to be displaced.
-    fn allocate_sf_entry_at(&mut self, loc: SetLocation, line: LineAddr, entry: SfEntry) -> bool {
-        match self.sf.insert_at(loc, line, entry) {
-            Some(evicted) => {
-                self.handle_sf_eviction(evicted.line, evicted.payload);
-                true
+    /// returning the way it took and whether an existing entry (belonging to
+    /// another core or tenant) had to be displaced.
+    ///
+    /// Every caller knows `line` is absent from the SF, so the allocation
+    /// skips the tag scan: it has just missed there, or it has just been
+    /// freed there, or the line is in the LLC, which never holds a line the
+    /// SF tracks (a Shared private copy is backed by the LLC).
+    fn allocate_sf_entry_at(
+        &mut self,
+        loc: SetLocation,
+        line: LineAddr,
+        entry: SfEntry,
+    ) -> (usize, bool) {
+        let (way, evicted) = self.sf.insert_absent_at(loc, line, entry);
+        if let Some(evicted) = evicted {
+            self.back_invalidate(evicted.line, evicted.payload.owners);
+        }
+        (way, evicted.is_some())
+    }
+
+    /// Invalidates `line` in the private caches of the cores in `cores`: the
+    /// owners of an evicted SF entry or the sharers of an evicted LLC line.
+    /// A core that does not hold the line is left unchanged.
+    fn back_invalidate(&mut self, line: LineAddr, cores: u64) {
+        for core in cores_in(cores) {
+            if core < self.spec.cores {
+                self.l1[core].invalidate(line);
+                self.l2[core].invalidate(line);
             }
-            None => false,
         }
     }
 
-    fn handle_sf_eviction(&mut self, line: LineAddr, entry: SfEntry) {
-        for owner in entry.iter_owners() {
-            if owner < self.spec.cores {
-                self.l1[owner].invalidate(line);
-                self.l2[owner].invalidate(line);
-            }
-        }
-    }
-
-    fn insert_llc_at(&mut self, loc: SetLocation, line: LineAddr) {
-        if let Some(evicted) = self.llc.insert_at(loc, line, LlcLine) {
-            // A Shared line evicted from the LLC loses its backing store;
-            // invalidate any private copies so that the next access misses.
-            self.invalidate_private_everywhere(evicted.line);
+    /// Inserts `line`, which the caller knows is absent from the LLC, with
+    /// the cores that take a copy as its sharers. A Shared line evicted from
+    /// the LLC loses its backing store, so its sharers' copies are
+    /// invalidated and the next access misses. Both callers know the line is
+    /// absent: the inclusive miss has just missed it, and the non-inclusive
+    /// SF-snoop read has just found it in the SF.
+    fn insert_llc_at(&mut self, loc: SetLocation, line: LineAddr, sharers: u64) {
+        if let (_, Some(evicted)) = self.llc.insert_absent_at(loc, line, LlcLine { sharers }) {
+            self.back_invalidate(evicted.line, evicted.payload.sharers);
         }
     }
 
@@ -1222,17 +1316,11 @@ impl Hierarchy {
         }
     }
 
-    fn other_core_has_private_copy(&self, core: CoreId, line: LineAddr) -> bool {
-        (0..self.spec.cores)
-            .filter(|&c| c != core)
+    /// Whether a core other than `core` holds a private copy of `line`,
+    /// given the line's LLC sharer bits: only those cores can.
+    fn other_core_has_private_copy(&self, core: CoreId, line: LineAddr, sharers: u64) -> bool {
+        cores_in(sharers & !core_bit(core))
             .any(|c| self.l1[c].contains(line) || self.l2[c].contains(line))
-    }
-
-    fn invalidate_private_everywhere(&mut self, line: LineAddr) {
-        for c in 0..self.spec.cores {
-            self.l1[c].invalidate(line);
-            self.l2[c].invalidate(line);
-        }
     }
 
     /// Invalidates every private copy of `line` except `core`'s own (the
@@ -1423,14 +1511,14 @@ mod tests {
         assert_eq!(va.occupancy(), vb.occupancy());
         for w in 0..va.num_ways() {
             assert_eq!(va.line(w), vb.line(w), "LLC way {w} diverged");
-            assert_eq!(va.meta_word(w), vb.meta_word(w), "LLC meta {w} diverged");
         }
+        assert_eq!(va.meta(), vb.meta(), "LLC meta diverged");
         let (sa, sb) = (a.sf_set_view(loc), b.sf_set_view(loc));
         assert_eq!(sa.occupancy(), sb.occupancy());
         for w in 0..sa.num_ways() {
             assert_eq!(sa.line(w), sb.line(w), "SF way {w} diverged");
-            assert_eq!(sa.meta_word(w), sb.meta_word(w), "SF meta {w} diverged");
         }
+        assert_eq!(sa.meta(), sb.meta(), "SF meta diverged");
         for &l in lines {
             for c in 0..a.cores() {
                 assert_eq!(a.in_l1(c, l), b.in_l1(c, l));
@@ -1549,6 +1637,47 @@ mod tests {
         assert!(!h.in_l2(0, shared_victim) && !h.in_l2(1, shared_victim));
         assert_eq!(h.llc_occupancy(loc), h.spec().llc.ways());
         assert_eq!(h.sf_occupancy(loc), h.spec().sf.ways());
+    }
+
+    /// A saturating advance skips the lines of the fills it overwrites in
+    /// one step, and leaves the noise line sequence exactly where one mint
+    /// per fill leaves it: the survivors are each structure's newest fills
+    /// in way order, and the next noise access mints the line after all of
+    /// them, under every inclusion policy.
+    #[test]
+    fn saturating_burst_leaves_the_noise_sequence_where_per_fill_minting_does() {
+        for policy in
+            [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive]
+        {
+            let mut h = Hierarchy::new(CacheSpec::tiny_test().with_inclusion(policy), 1);
+            let loc = h.shared_location(line(0x5000));
+            h.noise_access(loc, true);
+            let start = h.noise_counter;
+            let (llc_fills, sf_fills) = (3_000_000_000u64, 1_000_000_000u64);
+            h.noise_advance_bulk(loc, llc_fills, sf_fills);
+            assert_eq!(h.noise_counter, start + llc_fills + sf_fills, "{policy:?}");
+            let noise = |n: u64| Some(line(NOISE_LINE_BASE + start + n));
+            let llc_ways = h.spec().llc.ways() as u64;
+            let llc_last = match policy {
+                InclusionPolicy::Inclusive => llc_fills + sf_fills,
+                _ => llc_fills,
+            };
+            let llc = h.llc_set_view(loc);
+            for w in 0..llc_ways {
+                assert_eq!(llc.line(w as usize), noise(llc_last - llc_ways + 1 + w), "{policy:?}");
+            }
+            if policy != InclusionPolicy::Inclusive {
+                let sf_ways = h.spec().sf.ways() as u64;
+                let sf = h.sf_set_view(loc);
+                for w in 0..sf_ways {
+                    let want = noise(llc_fills + sf_fills - sf_ways + 1 + w);
+                    assert_eq!(sf.line(w as usize), want, "{policy:?}");
+                }
+            }
+            h.noise_access(loc, true);
+            let next = noise(llc_fills + sf_fills + 1).unwrap();
+            assert!(h.llc_set_view(loc).contains(next), "{policy:?}: the next noise line");
+        }
     }
 
     #[test]

@@ -11,19 +11,20 @@
 //! ## Data layout
 //!
 //! Policies are **not** trait objects. [`ReplacementKind`] is a `Copy` enum
-//! whose methods operate on a per-set `&mut [u64]` metadata slice of length
-//! `ways`, carved out of one contiguous arena owned by the cache structure
-//! (see `set.rs`). This removes one heap allocation and one virtual call per
+//! whose methods operate on a per-set `&mut [u64]` metadata slice of
+//! [`ReplacementKind::meta_words`] words, carved out of one contiguous arena
+//! owned by the cache structure (see `set.rs`), and take the associativity
+//! as an argument. This removes one heap allocation and one virtual call per
 //! set from the access path, and turns snapshot restores into a single
 //! `copy_from_slice` of the arena:
 //!
-//! | Policy | Per-way word `meta[w]` | Extra state |
-//! |---|---|---|
-//! | `Lru` | recency age: 0 = MRU, `ways-1` = LRU (a permutation) | — |
-//! | `TreePlru` | tree bits packed into `meta[0]`, bit *i* = node *i* | — |
-//! | `Qlru` | 2-bit age: 0 = just reused … 3 = replace next | — |
-//! | `Srrip` | 2-bit RRPV: 0 = near re-reference … 3 = victim | — |
-//! | `Random` | unused | one `SmallRng` per set (arena-owned) |
+//! | Policy | Metadata words | Layout | Extra state |
+//! |---|---|---|---|
+//! | `Lru` | 1 (≤ 16 ways), else `ways` | recency age per way: 0 = MRU, `ways-1` = LRU (a permutation), nibble-packed into `meta[0]` up to 16 ways | — |
+//! | `TreePlru` | 1 | tree bits, bit *i* = node *i* | — |
+//! | `Qlru` | `ways` | 2-bit age: 0 = just reused … 3 = replace next | — |
+//! | `Srrip` | `ways` | 2-bit RRPV: 0 = near re-reference … 3 = victim | — |
+//! | `Random` | 0 | — | one `SmallRng` per set (arena-owned) |
 //!
 //! All semantics are bit-identical to the former boxed `ReplacementState`
 //! implementations (the golden experiment outputs depend on this); the
@@ -139,14 +140,27 @@ impl ReplacementKind {
         matches!(self, ReplacementKind::Random)
     }
 
-    /// Initialises the metadata words of an empty set.
+    /// How many metadata words a set of `ways` ways needs: the arena's
+    /// per-set metadata stride. Packed LRU and Tree-PLRU keep their whole
+    /// state in one word and `Random` keeps none; the other policies keep
+    /// one word per way.
+    pub fn meta_words(self, ways: usize) -> usize {
+        match self {
+            ReplacementKind::Lru if ways <= LRU_PACKED_MAX_WAYS => 1,
+            ReplacementKind::TreePlru => 1,
+            ReplacementKind::Random => 0,
+            ReplacementKind::Lru | ReplacementKind::Qlru | ReplacementKind::Srrip => ways,
+        }
+    }
+
+    /// Initialises the metadata words of an empty set of `ways` ways.
     ///
-    /// `meta.len()` is the associativity. Panics if a policy cannot represent
-    /// that many ways in its packed encoding (Tree-PLRU packs its tree into
-    /// `meta[0]` and therefore supports up to 64 ways, far beyond any real
-    /// associativity).
-    pub fn init_meta(self, meta: &mut [u64]) {
-        let ways = meta.len();
+    /// `meta` is the set's [`Self::meta_words`] words (the one-word
+    /// encodings ignore any words after the first). Panics if a policy
+    /// cannot represent that many ways in its packed encoding (Tree-PLRU
+    /// packs its tree into `meta[0]` and therefore supports up to 64 ways,
+    /// far beyond any real associativity).
+    pub fn init_meta(self, meta: &mut [u64], ways: usize) {
         assert!(ways <= 64, "replacement metadata encodings support at most 64 ways");
         match self {
             ReplacementKind::Lru => {
@@ -177,13 +191,12 @@ impl ReplacementKind {
     /// installed in that way (QLRU and SRRIP assign different re-reference
     /// predictions to fills and hits).
     #[inline]
-    pub fn touch(self, meta: &mut [u64], way: usize, is_fill: bool) {
+    pub fn touch(self, meta: &mut [u64], ways: usize, way: usize, is_fill: bool) {
         match self {
             ReplacementKind::Lru => {
                 // Move `way` to MRU: every way that was more recent slides
                 // one step older. Equivalent to the classic remove/push-front
                 // on an explicit recency list.
-                let ways = meta.len();
                 if ways <= LRU_PACKED_MAX_WAYS {
                     let x = meta[0];
                     let old = packed_age(x, way);
@@ -207,7 +220,6 @@ impl ReplacementKind {
                 }
             }
             ReplacementKind::TreePlru => {
-                let ways = meta.len();
                 if way < ways {
                     meta[0] = tree_walk(meta[0], ways, way, TreeAim::AwayFrom);
                 }
@@ -226,8 +238,7 @@ impl ReplacementKind {
     /// May mutate the metadata (QLRU/SRRIP ageing) or advance the per-set
     /// RNG ([`Self::Random`], which is the only policy reading `rng`).
     #[inline]
-    pub fn victim(self, meta: &mut [u64], rng: Option<&mut SmallRng>) -> usize {
-        let ways = meta.len();
+    pub fn victim(self, meta: &mut [u64], ways: usize, rng: Option<&mut SmallRng>) -> usize {
         match self {
             ReplacementKind::Lru => {
                 // The ages form a permutation, so the maximum is unique.
@@ -307,12 +318,11 @@ impl ReplacementKind {
     /// chosen line as the eviction candidate (EVC) even though the attacker
     /// keeps touching it.
     #[inline]
-    pub fn demote(self, meta: &mut [u64], way: usize) {
+    pub fn demote(self, meta: &mut [u64], ways: usize, way: usize) {
         match self {
             ReplacementKind::Lru => {
                 // Move `way` to LRU: every way that was older slides one step
                 // more recent.
-                let ways = meta.len();
                 if ways <= LRU_PACKED_MAX_WAYS {
                     let x = meta[0];
                     let old = packed_age(x, way);
@@ -338,7 +348,6 @@ impl ReplacementKind {
                 }
             }
             ReplacementKind::TreePlru => {
-                let ways = meta.len();
                 if way < ways {
                     meta[0] = tree_walk(meta[0], ways, way, TreeAim::Toward);
                 }
@@ -363,8 +372,8 @@ impl ReplacementKind {
     /// leak into later victim choices — `set.rs` pins both behaviours with
     /// regression tests.
     #[inline]
-    pub fn reset_way(self, meta: &mut [u64], way: usize) {
-        self.demote(meta, way);
+    pub fn reset_way(self, meta: &mut [u64], ways: usize, way: usize) {
+        self.demote(meta, ways, way);
     }
 
     /// Applies `count` consecutive *fill* transitions to a fully-occupied
@@ -388,11 +397,11 @@ impl ReplacementKind {
     pub fn bulk_fill(
         self,
         meta: &mut [u64],
+        ways: usize,
         count: u64,
         mut rng: Option<&mut SmallRng>,
         mut on_victim: impl FnMut(usize),
     ) {
-        let ways = meta.len();
         if count == 0 || ways == 0 {
             return;
         }
@@ -417,9 +426,9 @@ impl ReplacementKind {
             return;
         }
         for _ in 0..count {
-            let way = self.victim(meta, rng.as_deref_mut());
+            let way = self.victim(meta, ways, rng.as_deref_mut());
             on_victim(way);
-            self.touch(meta, way, true);
+            self.touch(meta, ways, way, true);
         }
     }
 }
@@ -472,13 +481,13 @@ mod tests {
     /// Fresh metadata for `ways` ways of `kind`.
     fn meta(kind: ReplacementKind, ways: usize) -> Vec<u64> {
         let mut m = vec![0; ways];
-        kind.init_meta(&mut m);
+        kind.init_meta(&mut m, ways);
         m
     }
 
     fn fill_and_reference(kind: ReplacementKind, meta: &mut [u64]) {
         for w in 0..meta.len() {
-            kind.touch(meta, w, true);
+            kind.touch(meta, meta.len(), w, true);
         }
     }
 
@@ -488,12 +497,12 @@ mod tests {
         let mut m = meta(k, 4);
         fill_and_reference(k, &mut m);
         // Touch 0, 1, 2 again -> 3 is LRU.
-        k.touch(&mut m, 0, false);
-        k.touch(&mut m, 1, false);
-        k.touch(&mut m, 2, false);
-        assert_eq!(k.victim(&mut m, None), 3);
-        k.touch(&mut m, 3, false);
-        assert_eq!(k.victim(&mut m, None), 0);
+        k.touch(&mut m, 4, 0, false);
+        k.touch(&mut m, 4, 1, false);
+        k.touch(&mut m, 4, 2, false);
+        assert_eq!(k.victim(&mut m, 4, None), 3);
+        k.touch(&mut m, 4, 3, false);
+        assert_eq!(k.victim(&mut m, 4, None), 0);
     }
 
     /// Decodes the LRU age of each way regardless of representation
@@ -512,9 +521,9 @@ mod tests {
         for ways in [8usize, 16, 20] {
             let mut m = meta(k, ways);
             for i in 0..100 {
-                k.touch(&mut m, (i * 5) % ways, i % 3 == 0);
+                k.touch(&mut m, ways, (i * 5) % ways, i % 3 == 0);
                 if i % 7 == 0 {
-                    k.demote(&mut m, i % ways);
+                    k.demote(&mut m, ways, i % ways);
                 }
                 let mut sorted = lru_ages(&m);
                 sorted.sort_unstable();
@@ -533,8 +542,8 @@ mod tests {
         let k = ReplacementKind::Lru;
         let mut m = meta(k, 4);
         fill_and_reference(k, &mut m);
-        k.demote(&mut m, 2);
-        assert_eq!(k.victim(&mut m, None), 2);
+        k.demote(&mut m, 4, 2);
+        assert_eq!(k.victim(&mut m, 4, None), 2);
     }
 
     #[test]
@@ -542,11 +551,11 @@ mod tests {
         let k = ReplacementKind::TreePlru;
         let mut m = meta(k, 8);
         fill_and_reference(k, &mut m);
-        let v = k.victim(&mut m, None);
+        let v = k.victim(&mut m, 8, None);
         assert!(v < 8);
         // Touch the victim; the next victim must differ.
-        k.touch(&mut m, v, false);
-        assert_ne!(k.victim(&mut m, None), v);
+        k.touch(&mut m, 8, v, false);
+        assert_ne!(k.victim(&mut m, 8, None), v);
     }
 
     #[test]
@@ -555,9 +564,9 @@ mod tests {
         let mut m = meta(k, 11);
         fill_and_reference(k, &mut m);
         for _ in 0..64 {
-            let v = k.victim(&mut m, None);
+            let v = k.victim(&mut m, 11, None);
             assert!(v < 11);
-            k.touch(&mut m, v, true);
+            k.touch(&mut m, 11, v, true);
         }
     }
 
@@ -567,8 +576,8 @@ mod tests {
         let mut m = meta(k, 8);
         fill_and_reference(k, &mut m);
         for way in 0..8 {
-            k.demote(&mut m, way);
-            assert_eq!(k.victim(&mut m, None), way);
+            k.demote(&mut m, 8, way);
+            assert_eq!(k.victim(&mut m, 8, None), way);
         }
     }
 
@@ -578,9 +587,9 @@ mod tests {
         let mut m = meta(k, 4);
         fill_and_reference(k, &mut m);
         // Re-reference ways 0 and 1 so they become RRPV 0.
-        k.touch(&mut m, 0, false);
-        k.touch(&mut m, 1, false);
-        let v = k.victim(&mut m, None);
+        k.touch(&mut m, 4, 0, false);
+        k.touch(&mut m, 4, 1, false);
+        let v = k.victim(&mut m, 4, None);
         assert!(v == 2 || v == 3, "victim should be a non-reused way, got {v}");
     }
 
@@ -590,8 +599,8 @@ mod tests {
         let mut m = meta(k, 4);
         fill_and_reference(k, &mut m);
         // Way 0 is re-referenced (age 0); the rest stay at fill age 1.
-        k.touch(&mut m, 0, false);
-        let v = k.victim(&mut m, None);
+        k.touch(&mut m, 4, 0, false);
+        let v = k.victim(&mut m, 4, None);
         assert_ne!(v, 0, "the reused way must outlive fill-aged ways");
         // After the renormalising victim call, way 0 is strictly younger.
         assert!(m[0] < m[v]);
@@ -604,7 +613,7 @@ mod tests {
         fill_and_reference(k, &mut m);
         // All ways at age 1: the victim call must boost everyone by 2 and
         // pick the lowest way.
-        assert_eq!(k.victim(&mut m, None), 0);
+        assert_eq!(k.victim(&mut m, 4, None), 0);
         assert!(m.iter().all(|&a| a == MAX_AGE));
     }
 
@@ -615,9 +624,9 @@ mod tests {
         let mut a = SmallRng::seed_from_u64(42);
         let mut b = SmallRng::seed_from_u64(42);
         for _ in 0..100 {
-            let va = k.victim(&mut m, Some(&mut a));
+            let va = k.victim(&mut m, 6, Some(&mut a));
             assert!(va < 6);
-            assert_eq!(va, k.victim(&mut m, Some(&mut b)));
+            assert_eq!(va, k.victim(&mut m, 6, Some(&mut b)));
         }
     }
 
@@ -632,9 +641,9 @@ mod tests {
             ReplacementKind::Random,
         ] {
             let mut m = meta(kind, 8);
-            kind.touch(&mut m, 0, true);
+            kind.touch(&mut m, 8, 0, true);
             let rng = kind.uses_rng().then_some(&mut rng);
-            assert!(kind.victim(&mut m, rng) < 8);
+            assert!(kind.victim(&mut m, 8, rng) < 8);
         }
     }
 
@@ -651,17 +660,17 @@ mod tests {
                     fill_and_reference(k, &mut base);
                     // Scramble recency with a deterministic touch pattern.
                     for i in 0..scramble {
-                        k.touch(&mut base, (i as usize * 3 + 1) % ways, false);
+                        k.touch(&mut base, ways, (i as usize * 3 + 1) % ways, false);
                     }
                     let mut fast = base.clone();
                     let mut slow = base.clone();
                     let mut fast_victims = Vec::new();
-                    k.bulk_fill(&mut fast, count, None, |w| fast_victims.push(w));
+                    k.bulk_fill(&mut fast, ways, count, None, |w| fast_victims.push(w));
                     let mut slow_victims = Vec::new();
                     for _ in 0..count {
-                        let w = k.victim(&mut slow, None);
+                        let w = k.victim(&mut slow, ways, None);
                         slow_victims.push(w);
-                        k.touch(&mut slow, w, true);
+                        k.touch(&mut slow, ways, w, true);
                     }
                     assert_eq!(fast_victims, slow_victims, "{ways} ways, count {count}");
                     assert_eq!(fast, slow, "{ways} ways, count {count}: metadata diverged");
@@ -687,7 +696,7 @@ mod tests {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut victims = Vec::new();
                 let rng_arg = kind.uses_rng().then_some(&mut rng);
-                kind.bulk_fill(&mut m, 20, rng_arg, |w| victims.push(w));
+                kind.bulk_fill(&mut m, ways, 20, rng_arg, |w| victims.push(w));
                 (victims, m)
             };
             let (va, ma) = run(5);
@@ -709,9 +718,9 @@ mod tests {
         fill_and_reference(k, &mut m);
         let mut victims = Vec::new();
         for _ in 0..8 {
-            let v = k.victim(&mut m, None);
+            let v = k.victim(&mut m, ways, None);
             victims.push(v);
-            k.touch(&mut m, v, true);
+            k.touch(&mut m, ways, v, true);
         }
         // All ways get recycled.
         let unique: std::collections::HashSet<_> = victims.iter().collect();

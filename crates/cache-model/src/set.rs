@@ -9,10 +9,11 @@
 //! ```text
 //! way index inside set s:        w = 0 .. ways-1
 //! flat index of (s, w):          s * ways + w
+//! metadata stride:               m = ReplacementKind::meta_words(ways)
 //!
 //! lines:   [LineAddr; sets*ways]   tag array (full line addresses)
 //! payload: [T;        sets*ways]   caller payload (coherence state, owners)
-//! meta:    [u64;      sets*ways]   replacement metadata words (see
+//! meta:    [u64;      sets*m]      replacement metadata words (see
 //!                                  `replacement.rs` for per-policy layout)
 //! valid:   [u64;      sets]        one bitmask word per set, bit w = way w
 //! rngs:    [SmallRng; sets]        only for ReplacementKind::Random
@@ -47,6 +48,8 @@ pub struct Entry<T> {
 #[derive(Debug, Clone)]
 pub struct SetArena<T> {
     ways: usize,
+    /// Metadata words per set: `policy.meta_words(ways)`.
+    meta_stride: usize,
     policy: ReplacementKind,
     lines: Vec<LineAddr>,
     valid: Vec<u64>,
@@ -69,24 +72,39 @@ impl<T: Copy + Default> SetArena<T> {
         seed_of: impl Fn(usize) -> u64,
     ) -> Self {
         assert!((1..=64).contains(&ways), "associativity must be 1..=64, got {ways}");
-        let mut meta = vec![0u64; sets * ways];
-        for set_meta in meta.chunks_exact_mut(ways) {
-            policy.init_meta(set_meta);
-        }
+        let meta_stride = policy.meta_words(ways);
         let rngs = if policy.uses_rng() {
             (0..sets).map(|s| SmallRng::seed_from_u64(seed_of(s))).collect()
         } else {
             Vec::new()
         };
-        Self {
+        let mut arena = Self {
             ways,
+            meta_stride,
             policy,
             lines: vec![LineAddr::from_line_number(0); sets * ways],
             valid: vec![0; sets],
             payload: vec![T::default(); sets * ways],
-            meta,
+            meta: vec![0u64; sets * meta_stride],
             rngs,
+        };
+        arena.init_meta();
+        arena
+    }
+
+    /// Initialises every set's replacement metadata to the empty-set state.
+    fn init_meta(&mut self) {
+        if self.meta_stride > 0 {
+            for set_meta in self.meta.chunks_exact_mut(self.meta_stride) {
+                self.policy.init_meta(set_meta, self.ways);
+            }
         }
+    }
+
+    /// The range of set `index`'s metadata words in `meta`.
+    #[inline]
+    fn meta_range(&self, index: usize) -> std::ops::Range<usize> {
+        index * self.meta_stride..(index + 1) * self.meta_stride
     }
 
     /// Number of sets.
@@ -100,24 +118,27 @@ impl<T: Copy + Default> SetArena<T> {
     }
 
     /// Shared view of set `index` (instrumentation, tests).
+    #[inline]
     pub fn view(&self, index: usize) -> SetView<'_, T> {
         let r = index * self.ways..(index + 1) * self.ways;
         SetView {
             lines: &self.lines[r.clone()],
             valid: self.valid[index],
-            payload: &self.payload[r.clone()],
-            meta: &self.meta[r],
+            payload: &self.payload[r],
+            meta: &self.meta[self.meta_range(index)],
         }
     }
 
     /// Mutable view of set `index` (the access path).
+    #[inline]
     pub fn view_mut(&mut self, index: usize) -> SetViewMut<'_, T> {
         let r = index * self.ways..(index + 1) * self.ways;
+        let m = self.meta_range(index);
         SetViewMut {
             lines: &mut self.lines[r.clone()],
             valid: &mut self.valid[index],
-            payload: &mut self.payload[r.clone()],
-            meta: &mut self.meta[r],
+            payload: &mut self.payload[r],
+            meta: &mut self.meta[m],
             policy: self.policy,
             rng: self.rngs.get_mut(index),
         }
@@ -141,24 +162,27 @@ impl<T: Copy + Default> SetArena<T> {
     /// Removes every entry and re-initialises all replacement metadata.
     pub fn clear(&mut self) {
         self.valid.fill(0);
-        for set_meta in self.meta.chunks_exact_mut(self.ways) {
-            self.policy.init_meta(set_meta);
-        }
+        self.init_meta();
     }
 
-    /// Copies sets `rows` (valid mask, tags, payloads and metadata words)
-    /// into `out`, replacing its contents and reusing its buffers.
-    pub(crate) fn save_rows(&self, rows: &[usize], out: &mut SavedRows<T>) {
+    /// Copies sets `rows` (valid mask, tags, metadata words and, if
+    /// `payloads`, payloads) into `out`, replacing its contents and reusing
+    /// its buffers. Rows saved without payloads are compared and loaded
+    /// without them too.
+    pub(crate) fn save_rows(&self, rows: &[usize], payloads: bool, out: &mut SavedRows<T>) {
         out.valid.clear();
         out.lines.clear();
         out.payload.clear();
         out.meta.clear();
+        out.payloads = payloads;
         for &row in rows {
             let r = row * self.ways..(row + 1) * self.ways;
             out.valid.push(self.valid[row]);
             out.lines.extend_from_slice(&self.lines[r.clone()]);
-            out.payload.extend_from_slice(&self.payload[r.clone()]);
-            out.meta.extend_from_slice(&self.meta[r]);
+            if payloads {
+                out.payload.extend_from_slice(&self.payload[r]);
+            }
+            out.meta.extend_from_slice(&self.meta[self.meta_range(row)]);
         }
     }
 
@@ -172,9 +196,9 @@ impl<T: Copy + Default> SetArena<T> {
             let (r, s) =
                 (row * self.ways..(row + 1) * self.ways, i * self.ways..(i + 1) * self.ways);
             self.valid[row] == saved.valid[i]
-                && self.meta[r.clone()] == saved.meta[s.clone()]
+                && self.meta[self.meta_range(row)] == saved.meta[self.meta_range(i)]
                 && self.lines[r.clone()] == saved.lines[s.clone()]
-                && self.payload[r] == saved.payload[s]
+                && (!saved.payloads || self.payload[r] == saved.payload[s])
         })
     }
 
@@ -184,10 +208,13 @@ impl<T: Copy + Default> SetArena<T> {
         for (i, &row) in rows.iter().enumerate() {
             let (r, s) =
                 (row * self.ways..(row + 1) * self.ways, i * self.ways..(i + 1) * self.ways);
+            let (rm, sm) = (self.meta_range(row), self.meta_range(i));
             self.valid[row] = saved.valid[i];
             self.lines[r.clone()].copy_from_slice(&saved.lines[s.clone()]);
-            self.payload[r.clone()].copy_from_slice(&saved.payload[s.clone()]);
-            self.meta[r].copy_from_slice(&saved.meta[s]);
+            if saved.payloads {
+                self.payload[r].copy_from_slice(&saved.payload[s]);
+            }
+            self.meta[rm].copy_from_slice(&saved.meta[sm]);
         }
     }
 }
@@ -198,6 +225,8 @@ impl<T: Copy + Default> SetArena<T> {
 pub(crate) struct SavedRows<T> {
     valid: Vec<u64>,
     lines: Vec<LineAddr>,
+    /// Whether `payload` holds the rows' payloads.
+    payloads: bool,
     payload: Vec<T>,
     meta: Vec<u64>,
 }
@@ -226,6 +255,7 @@ impl<'a, T> SetView<'a, T> {
     }
 
     /// Returns true if way `way` holds a valid line.
+    #[inline]
     pub fn is_valid(&self, way: usize) -> bool {
         assert!(way < self.lines.len());
         self.valid & (1 << way) != 0
@@ -237,17 +267,19 @@ impl<'a, T> SetView<'a, T> {
     }
 
     /// The payload stored in way `way`, if valid.
+    #[inline]
     pub fn payload(&self, way: usize) -> Option<&'a T> {
         self.is_valid(way).then(|| &self.payload[way])
     }
 
-    /// The raw replacement-metadata word of way `way` (policy-specific; see
-    /// the layout table in `replacement.rs`).
-    pub fn meta_word(&self, way: usize) -> u64 {
-        self.meta[way]
+    /// The set's raw replacement-metadata words: `meta_words(ways)` of
+    /// them, in the policy-specific layout of the table in `replacement.rs`.
+    pub fn meta(&self) -> &'a [u64] {
+        self.meta
     }
 
     /// Returns true if `line` is present.
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.find_way(line).is_some()
     }
@@ -258,6 +290,7 @@ impl<'a, T> SetView<'a, T> {
     }
 
     /// The payload stored for `line`, if present (no recency update).
+    #[inline]
     pub fn peek(&self, line: LineAddr) -> Option<&'a T> {
         self.payload(self.find_way(line)?)
     }
@@ -330,10 +363,19 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
 
     /// Looks up `line`; on a hit updates replacement state and returns a
     /// reference to the payload (consuming the view so the borrow can escape).
+    #[inline]
     pub fn lookup(self, line: LineAddr) -> Option<&'a mut T> {
         let way = self.find_way(line)?;
-        self.policy.touch(self.meta, way, false);
-        Some(&mut self.payload[way])
+        Some(self.touch_way(way))
+    }
+
+    /// A hit at `way`, which the caller knows holds the line it would look
+    /// up: [`SetViewMut::lookup`] without the tag scan.
+    #[inline]
+    pub(crate) fn touch_way(self, way: usize) -> &'a mut T {
+        debug_assert!(*self.valid & (1 << way) != 0, "touch of an invalid way");
+        self.policy.touch(self.meta, self.lines.len(), way, false);
+        &mut self.payload[way]
     }
 
     /// Looks up `line` mutably without updating replacement state.
@@ -346,22 +388,29 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
     ///
     /// Returns the evicted entry, if any. If `line` was already present its
     /// payload is replaced and no eviction occurs.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, payload: T) -> Option<Entry<T>> {
         if let Some(way) = self.find_way(line) {
-            self.policy.touch(self.meta, way, false);
+            self.policy.touch(self.meta, self.lines.len(), way, false);
             self.payload[way] = payload;
             return None;
         }
-        self.insert_absent(line, payload)
+        self.insert_absent(line, payload).1
     }
 
     /// Installs `line`, which the caller knows is not in this set (it has
     /// just missed here and nothing since installed it), without scanning
     /// the tags for it: the lowest free way, else the policy's victim.
     ///
-    /// Returns the evicted entry, if any; the same result, metadata and RNG
-    /// draws as [`SetViewMut::insert`] of an absent line.
-    pub(crate) fn insert_absent(&mut self, line: LineAddr, payload: T) -> Option<Entry<T>> {
+    /// Returns the way the line went to and the evicted entry, if any; the
+    /// same result, metadata and RNG draws as [`SetViewMut::insert`] of an
+    /// absent line.
+    #[inline]
+    pub(crate) fn insert_absent(
+        &mut self,
+        line: LineAddr,
+        payload: T,
+    ) -> (usize, Option<Entry<T>>) {
         debug_assert!(self.find_way(line).is_none(), "known-absent insert of a resident line");
         // Prefer an invalid way (lowest index first, matching the boxed
         // implementation's scan order).
@@ -369,12 +418,12 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
         if free != 0 {
             let way = free.trailing_zeros() as usize;
             self.install(way, line, payload);
-            return None;
+            return (way, None);
         }
-        let way = self.policy.victim(self.meta, self.rng.as_deref_mut());
+        let way = self.policy.victim(self.meta, self.lines.len(), self.rng.as_deref_mut());
         let evicted = Entry { line: self.lines[way], payload: self.payload[way] };
         self.install(way, line, payload);
-        Some(evicted)
+        (way, Some(evicted))
     }
 
     #[inline]
@@ -382,7 +431,7 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
         self.lines[way] = line;
         self.payload[way] = payload;
         *self.valid |= 1 << way;
-        self.policy.touch(self.meta, way, true);
+        self.policy.touch(self.meta, self.lines.len(), way, true);
     }
 
     /// Marks `line`'s way as the next replacement victim of this set, if the
@@ -390,7 +439,7 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
     pub fn demote(&mut self, line: LineAddr) -> bool {
         match self.find_way(line) {
             Some(way) => {
-                self.policy.demote(self.meta, way);
+                self.policy.demote(self.meta, self.lines.len(), way);
                 true
             }
             None => false,
@@ -402,14 +451,19 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
     /// victim when no way is free and reporting every displaced entry
     /// through `on_evict`, in eviction order.
     ///
+    /// `mint(k)` advances the caller's injective line sequence by `k` lines
+    /// and returns the last of them; every fill consumes one line, so the
+    /// calls' `k` sum to `count`.
+    ///
     /// This is the aggregate noise mode's per-set state transition. Three
     /// regimes:
     ///
     /// * `count >= ways` — the burst saturates the set: every resident is
     ///   displaced and the set ends holding the newest `ways` fills with
     ///   canonical freshly-filled metadata (`init_meta` + fill touches in
-    ///   way order). `mint` is still called `count` times so line minting
-    ///   stays injective; the overwritten fills are never materialised.
+    ///   way order). The `count - ways` overwritten fills are never
+    ///   materialised: the first survivor's `mint` skips their lines in one
+    ///   step, so the sequence ends where `count` single mints leave it.
     ///   O(ways) regardless of `count`.
     /// * free ways — filled lowest-index-first, matching
     ///   [`SetViewMut::insert`]'s preference.
@@ -419,7 +473,7 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
     pub fn advance_fills(
         &mut self,
         count: u64,
-        mut mint: impl FnMut() -> LineAddr,
+        mut mint: impl FnMut(u64) -> LineAddr,
         mut on_evict: impl FnMut(Entry<T>),
     ) where
         T: Default,
@@ -429,9 +483,6 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
         }
         let ways = self.lines.len();
         if count >= ways as u64 {
-            for _ in 0..count - ways as u64 {
-                mint();
-            }
             let valid = *self.valid;
             for w in 0..ways {
                 if valid & (1 << w) != 0 {
@@ -439,9 +490,11 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
                 }
             }
             *self.valid = 0;
-            self.policy.init_meta(self.meta);
+            self.policy.init_meta(self.meta, ways);
+            let mut skip = count - ways as u64;
             for w in 0..ways {
-                let line = mint();
+                let line = mint(skip + 1);
+                skip = 0;
                 self.install(w, line, T::default());
             }
             return;
@@ -449,7 +502,7 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
         let mut remaining = count;
         while *self.valid != self.way_mask() {
             // A way is free, so the fill displaces nothing.
-            let _ = self.insert_absent(mint(), T::default());
+            let _ = self.insert_absent(mint(1), T::default());
             remaining -= 1;
             if remaining == 0 {
                 return;
@@ -457,9 +510,9 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
         }
         let lines = &mut *self.lines;
         let payload = &mut *self.payload;
-        self.policy.bulk_fill(self.meta, remaining, self.rng.as_deref_mut(), |way| {
+        self.policy.bulk_fill(self.meta, ways, remaining, self.rng.as_deref_mut(), |way| {
             on_evict(Entry { line: lines[way], payload: payload[way] });
-            lines[way] = mint();
+            lines[way] = mint(1);
             payload[way] = T::default();
         });
     }
@@ -470,11 +523,20 @@ impl<'a, T: Copy> SetViewMut<'a, T> {
     /// [`ReplacementKind::reset_way`]) so the next occupant cannot inherit
     /// the departed line's recency/RRPV state — the boxed predecessor left
     /// it stale.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<T> {
         let way = self.find_way(line)?;
-        *self.valid &= !(1 << way);
-        self.policy.reset_way(self.meta, way);
+        self.invalidate_way(way);
         Some(self.payload[way])
+    }
+
+    /// [`SetViewMut::invalidate`] of the line the caller knows is at `way`,
+    /// without the tag scan.
+    #[inline]
+    pub(crate) fn invalidate_way(&mut self, way: usize) {
+        debug_assert!(*self.valid & (1 << way) != 0, "invalidation of an invalid way");
+        *self.valid &= !(1 << way);
+        self.policy.reset_way(self.meta, self.lines.len(), way);
     }
 }
 
@@ -562,7 +624,7 @@ mod tests {
         }
         a.clear();
         assert_eq!(a.view(0).occupancy(), 0);
-        assert_eq!(a.view(0).meta_word(0), 0, "clear must re-initialise Tree-PLRU bits");
+        assert_eq!(a.view(0).meta(), [0], "clear must re-initialise Tree-PLRU bits");
     }
 
     #[test]
@@ -635,8 +697,8 @@ mod tests {
             let mut evicted_b = Vec::new();
             b.view_mut(0).advance_fills(
                 5,
-                || {
-                    next_b += 1;
+                |k| {
+                    next_b += k;
                     line(next_b)
                 },
                 |e| evicted_b.push(e.line),
@@ -646,8 +708,8 @@ mod tests {
             assert_eq!(va.occupancy(), vb.occupancy());
             for w in 0..8 {
                 assert_eq!(va.line(w), vb.line(w), "{kind:?} way {w}");
-                assert_eq!(va.meta_word(w), vb.meta_word(w), "{kind:?} meta {w}");
             }
+            assert_eq!(va.meta(), vb.meta(), "{kind:?} meta");
         }
     }
 
@@ -664,8 +726,8 @@ mod tests {
         let mut evicted = Vec::new();
         a.view_mut(0).advance_fills(
             11,
-            || {
-                next += 1;
+            |k| {
+                next += k;
                 line(1000 + next)
             },
             |e| evicted.push(e.line),
@@ -716,8 +778,13 @@ mod tests {
                     match stream.gen_range(0..8) {
                         0..=4 if !resident => {
                             let want = a.view_mut(0).insert(l, step);
-                            let got = b.view_mut(0).insert_absent(l, step);
+                            let (way, got) = b.view_mut(0).insert_absent(l, step);
                             assert_eq!(got, want, "{kind:?} {ways}-way step {step}: eviction");
+                            assert_eq!(
+                                Some(way),
+                                a.view(0).way_of(l),
+                                "{kind:?} {ways}-way step {step}: way"
+                            );
                         }
                         5 => {
                             assert_eq!(a.view_mut(0).demote(l), b.view_mut(0).demote(l));
@@ -734,8 +801,8 @@ mod tests {
                     for w in 0..ways {
                         assert_eq!(va.line(w), vb.line(w), "{kind:?} {ways}-way step {step}");
                         assert_eq!(va.payload(w), vb.payload(w), "{kind:?} {ways}-way step {step}");
-                        assert_eq!(va.meta_word(w), vb.meta_word(w), "{kind:?} {ways}-way step {step}");
                     }
+                    assert_eq!(va.meta(), vb.meta(), "{kind:?} {ways}-way step {step}");
                     assert_eq!(a.rngs, b.rngs, "{kind:?} {ways}-way step {step}: RNG draws");
                 }
             }
@@ -747,10 +814,12 @@ mod tests {
     fn advance_fills_zero_is_noop() {
         let mut a: SetArena<u8> = arena(4, ReplacementKind::Qlru);
         a.view_mut(0).insert(line(1), 7);
-        let before: Vec<_> = (0..4).map(|w| (a.view(0).line(w), a.view(0).meta_word(w))).collect();
-        a.view_mut(0).advance_fills(0, || unreachable!("no mints"), |_| panic!("no evictions"));
-        let after: Vec<_> = (0..4).map(|w| (a.view(0).line(w), a.view(0).meta_word(w))).collect();
+        let before: Vec<_> = (0..4).map(|w| a.view(0).line(w)).collect();
+        let meta_before = a.view(0).meta().to_vec();
+        a.view_mut(0).advance_fills(0, |_| unreachable!("no mints"), |_| panic!("no evictions"));
+        let after: Vec<_> = (0..4).map(|w| a.view(0).line(w)).collect();
         assert_eq!(before, after);
+        assert_eq!(meta_before, a.view(0).meta());
     }
 
     /// The invalidate metadata-reset regression pin (LRU): refilling an
@@ -789,7 +858,7 @@ mod tests {
         a.view_mut(0).invalidate(line(1));
         // The freed way is the steered victim path (bits 0b101: root left,
         // node 1 right — i.e. way 1), not wherever line 1's history left it.
-        assert_eq!(a.view(0).meta_word(0), 0b101);
+        assert_eq!(a.view(0).meta(), [0b101]);
         // Refill takes way 1 and re-points the tree away from it; under
         // pressure the victim search then walks right to way 2.
         assert!(a.view_mut(0).insert(line(9), ()).is_none());

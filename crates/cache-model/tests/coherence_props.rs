@@ -11,8 +11,15 @@
 //! quirk (`stale_l1_copies_stay_backed`) and the surrounding backing
 //! invariants over random read+write streams mixed with `clflush`,
 //! background noise and replacement-state priming.
+//!
+//! The back-invalidation of an evicted LLC line walks only the line's sharer
+//! bits, so those must cover every core that holds a copy;
+//! `llc_sharers_cover_private_copies` checks that after every operation
+//! under every inclusion × replacement composition.
 
-use llc_cache_model::{AccessKind, CacheSpec, CoherenceState, Hierarchy, LineAddr};
+use llc_cache_model::{
+    AccessKind, CacheSpec, CoherenceState, Hierarchy, InclusionPolicy, LineAddr, ReplacementKind,
+};
 use proptest::prelude::*;
 
 /// Lines 0..LINES on `tiny_test` fold onto 64 shared sets (2 slices × 32
@@ -43,6 +50,44 @@ fn apply(h: &mut Hierarchy, op: usize, core: usize, n: u64) {
         }
         _ => h.prime_as_victim(line),
     }
+}
+
+/// [`apply`], plus the operations that set sharer bits or evict LLC lines in
+/// ways of their own: op 10 is an echoed read (the reader, then the next
+/// core), op 11 an aggregate noise advance on the line's set.
+fn apply_with_echo(h: &mut Hierarchy, op: usize, core: usize, n: u64) {
+    let line = LineAddr::from_line_number(n);
+    let loc = h.shared_location(line);
+    match op {
+        10 => {
+            h.echoed_read(core, (core + 1) % h.cores(), line, loc);
+        }
+        11 => h.noise_advance_bulk(loc, n % 3, n / 3 % 3),
+        _ => apply(h, op, core, n),
+    }
+}
+
+/// Every core whose L1 or L2 holds an LLC-resident line is among the line's
+/// sharer bits.
+fn sharers_cover_private_copies(h: &Hierarchy, step: usize) -> Result<(), String> {
+    let geometry = h.shared_geometry();
+    for flat in 0..geometry.total_sets() {
+        for (_, line, entry) in h.llc_set_view(geometry.location(flat)).iter() {
+            for core in 0..h.cores() {
+                if h.in_l1(core, line) || h.in_l2(core, line) {
+                    prop_assert!(
+                        entry.sharers & (1 << core) != 0,
+                        "step {}: core {} holds line {:#x}, sharers {:#b}",
+                        step,
+                        core,
+                        line.line_number(),
+                        entry.sharers
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -111,6 +156,35 @@ proptest! {
                         ),
                         None => {}
                     }
+                }
+            }
+        }
+    }
+
+    /// The LLC's sharer bits stay a superset of the cores holding a private
+    /// copy, after every operation, under every inclusion × replacement
+    /// composition.
+    #[test]
+    fn llc_sharers_cover_private_copies(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0usize..12, 0usize..3, 0u64..LINES), 0..160),
+    ) {
+        for inclusion in
+            [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive]
+        {
+            for policy in [
+                ReplacementKind::Lru,
+                ReplacementKind::TreePlru,
+                ReplacementKind::Qlru,
+                ReplacementKind::Srrip,
+                ReplacementKind::Random,
+            ] {
+                let spec = CacheSpec::tiny_test().with_inclusion(inclusion).with_replacement(policy);
+                let mut h = Hierarchy::new(spec, seed);
+                for (step, &(op, core, n)) in ops.iter().enumerate() {
+                    apply_with_echo(&mut h, op, core, n);
+                    sharers_cover_private_copies(&h, step)
+                        .map_err(|e| format!("{inclusion:?} × {policy:?}: {e}"))?;
                 }
             }
         }

@@ -13,25 +13,27 @@ fn tiny(seed: u64) -> Hierarchy {
     Hierarchy::new(CacheSpec::tiny_test(), seed)
 }
 
-/// (way, line number, meta word) of every valid way — one structure's half
-/// of a set fingerprint.
-type WayFingerprint = Vec<(usize, u64, u64)>;
+/// (way, line number) of every valid way, and the set's metadata words —
+/// one structure's half of a set fingerprint.
+type WayFingerprint = (Vec<(usize, u64)>, Vec<u64>);
 
 /// Fingerprints the set's LLC and SF views — a full structural snapshot.
 fn fingerprint(h: &Hierarchy, loc: SetLocation) -> (WayFingerprint, WayFingerprint) {
     let llc: WayFingerprint = {
         let v = h.llc_set_view(loc);
-        (0..v.num_ways())
+        let ways = (0..v.num_ways())
             .filter(|&w| v.is_valid(w))
-            .map(|w| (w, v.line(w).unwrap().line_number(), v.meta_word(w)))
-            .collect()
+            .map(|w| (w, v.line(w).unwrap().line_number()))
+            .collect();
+        (ways, v.meta().to_vec())
     };
     let sf: WayFingerprint = {
         let v = h.sf_set_view(loc);
-        (0..v.num_ways())
+        let ways = (0..v.num_ways())
             .filter(|&w| v.is_valid(w))
-            .map(|w| (w, v.line(w).unwrap().line_number(), v.meta_word(w)))
-            .collect()
+            .map(|w| (w, v.line(w).unwrap().line_number()))
+            .collect();
+        (ways, v.meta().to_vec())
     };
     (llc, sf)
 }

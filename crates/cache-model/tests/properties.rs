@@ -85,11 +85,11 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(3);
         for kind in [ReplacementKind::Lru, ReplacementKind::TreePlru, ReplacementKind::Qlru, ReplacementKind::Srrip, ReplacementKind::Random] {
             let mut meta = vec![0u64; ways];
-            kind.init_meta(&mut meta);
+            kind.init_meta(&mut meta, ways);
             for (i, t) in touches.iter().enumerate() {
-                kind.touch(&mut meta, *t as usize % ways, i % 3 == 0);
+                kind.touch(&mut meta, ways, *t as usize % ways, i % 3 == 0);
                 let rng = kind.uses_rng().then_some(&mut rng);
-                prop_assert!(kind.victim(&mut meta, rng) < ways);
+                prop_assert!(kind.victim(&mut meta, ways, rng) < ways);
             }
         }
     }

@@ -102,8 +102,8 @@ fn same_set<T: PartialEq + Debug>(
     for w in 0..a.num_ways() {
         prop_assert_eq!(a.line(w), b.line(w), "{} way {}: line", what(), w);
         prop_assert_eq!(a.payload(w), b.payload(w), "{} way {}: payload", what(), w);
-        prop_assert_eq!(a.meta_word(w), b.meta_word(w), "{} way {}: metadata", what(), w);
     }
+    prop_assert_eq!(a.meta(), b.meta(), "{}: metadata", what());
     Ok(())
 }
 

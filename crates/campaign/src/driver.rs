@@ -9,12 +9,13 @@
 //!    fixed `[k·chunk, (k+1)·chunk)` ranges. Chunks — not trials, not cells
 //!    — are the unit of scheduling, checkpointing and resume.
 //! 2. Pending chunks are handed to the fleet's task engine
-//!    (`Fleet::try_run_tasks_with`); a worker runs a chunk's trials in
-//!    global order, folding outcomes into per-cell segment aggregates, then
-//!    appends one checksummed JSONL merge record and flushes. One line of
-//!    buffered state per in-flight chunk is all that ever lives in memory —
-//!    resident usage is O(cells + workers·chunk), independent of total
-//!    trials.
+//!    (`Fleet::try_run_tasks_with`) one at a time, so the run ends at most
+//!    one chunk after its first worker goes idle. A worker runs a chunk's
+//!    trials in global order, folding outcomes into per-cell segment
+//!    aggregates, then appends one checksummed JSONL merge record and
+//!    flushes. One line of buffered state per in-flight chunk is all that
+//!    ever lives in memory — resident usage is O(cells + workers·chunk),
+//!    independent of total trials.
 //! 3. Every trial's seed is derived `stream_seed(stream_seed(master,
 //!    CELL_STREAM), cell) → trial_seed(·, trial_within_cell)` — a pure
 //!    function of the campaign identity and the trial's grid coordinates.

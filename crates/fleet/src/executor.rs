@@ -166,9 +166,11 @@ impl Fleet {
         self.threads
     }
 
-    /// Overrides the work-queue chunk size (default: `trials / (threads * 4)`,
-    /// at least 1). Smaller chunks steal better; larger chunks touch the
-    /// shared cursor less.
+    /// Overrides the work-queue chunk size: how many consecutive indices a
+    /// worker takes per grab. The default is `trials / (threads * 4)`, at
+    /// least 1, for [`Fleet::run`] and [`Fleet::run_with`], and 1 for
+    /// [`Fleet::try_run_tasks_with`]. Smaller chunks steal better; larger
+    /// chunks touch the shared cursor less.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk.max(1));
         self
@@ -205,7 +207,7 @@ impl Fleet {
         I: Fn(usize) -> S + Sync,
         F: Fn(&mut S, TrialCtx) -> T + Sync,
     {
-        self.try_run_tasks_with(trials, init, move |state, t| {
+        self.run_tasks(trials, self.chunk_for(trials), init, move |state, t| {
             job(state, TrialCtx::derive(master_seed, t, trials))
         })
         .unwrap_or_else(|err| panic!("{err}"))
@@ -216,6 +218,12 @@ impl Fleet {
     /// order**. Unlike `run_with`, no seed is derived — the task index is
     /// handed to `job` raw, so the caller decides what a task means (a trial,
     /// a chunk of a campaign's global trial stream, a cell of a sweep grid).
+    ///
+    /// Tasks are handed out one at a time unless [`Fleet::with_chunk`] says
+    /// otherwise. A task is a coarse unit, and a grab of several lets one
+    /// worker run the last grab alone while the others idle: with two
+    /// workers and grabs of twelve 8-trial campaign chunks, that tail
+    /// varied from run to run by up to a grab's duration.
     ///
     /// Determinism contract: `job(state, task)`'s result must be a pure
     /// function of `task` (worker state rewound per task), so the work
@@ -238,13 +246,30 @@ impl Fleet {
         I: Fn(usize) -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
+        self.run_tasks(tasks, self.chunk.unwrap_or(1), init, job)
+    }
+
+    /// The work loop: workers take `chunk` consecutive task indices per grab
+    /// from one atomic cursor.
+    fn run_tasks<S, T, I, F>(
+        &self,
+        tasks: usize,
+        chunk: usize,
+        init: I,
+        job: F,
+    ) -> Result<Vec<T>, FleetError>
+    where
+        S: Send,
+        T: Send,
+        I: Fn(usize) -> S + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
         if self.threads == 1 || tasks <= 1 {
             let mut state = init(0);
             return Ok((0..tasks).map(|t| job(&mut state, t)).collect());
         }
 
         let workers = self.threads.min(tasks);
-        let chunk = self.chunk_for(tasks);
         let cursor = AtomicUsize::new(0);
 
         let joined: Vec<Result<Vec<(usize, T)>, String>> = std::thread::scope(|scope| {
@@ -397,6 +422,39 @@ mod tests {
         // in the dead worker; survivors' results are all accounted for.
         assert!((1..=32).contains(&results_lost));
         assert!(payload.contains("boom at task 13"), "payload: {payload}");
+    }
+
+    /// With the default chunk size, no worker holds a second task while
+    /// another is free to take it: task 0 finishes only once task 1 has,
+    /// which needs task 1 on the other worker. (At 16 tasks and 2 workers,
+    /// `run_with`'s default would hand tasks 0 and 1 to one worker.)
+    #[test]
+    fn tasks_are_handed_out_one_at_a_time() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let second_done = AtomicBool::new(false);
+        let out = Fleet::new(2)
+            .try_run_tasks_with(
+                16,
+                |_| (),
+                |_, t| {
+                    if t == 0 {
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while !second_done.load(Ordering::Acquire) {
+                            if Instant::now() > deadline {
+                                return false;
+                            }
+                            std::thread::yield_now();
+                        }
+                    } else if t == 1 {
+                        second_done.store(true, Ordering::Release);
+                    }
+                    true
+                },
+            )
+            .unwrap();
+        assert!(out[0], "task 1 waited behind task 0 on the same worker");
+        assert!(out.iter().all(|&ok| ok));
     }
 
     #[test]

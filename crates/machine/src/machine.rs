@@ -229,8 +229,11 @@ pub struct TraversalPlan {
     /// Pre-computed LLC/SF locations, 1:1 with `lines`.
     locs: Vec<SetLocation>,
     /// The distinct touched locations in canonical sorted order (the noise
-    /// catch-up order the ad-hoc path derives per call via sort + dedup).
+    /// catch-up order).
     distinct: Vec<SetLocation>,
+    /// Compile scratch: one bit per flat LLC/SF set index, marking the sets
+    /// already in `distinct`. All zero between compiles.
+    seen: Vec<u64>,
     /// The machine's plan epoch at compile time (see [`Machine::reseed`]).
     epoch: u64,
 }
@@ -242,6 +245,7 @@ impl Default for TraversalPlan {
             lines: Vec::new(),
             locs: Vec::new(),
             distinct: Vec::new(),
+            seen: Vec::new(),
             epoch: u64::MAX,
         }
     }
@@ -522,10 +526,25 @@ impl Machine {
         plan.lines.extend(vas.iter().map(|&va| self.attacker_line(va)));
         plan.locs.clear();
         plan.locs.extend(plan.lines.iter().map(|&l| self.host.hierarchy.shared_location(l)));
+        // Each set's first occurrence is marked in the `seen` bitmap and
+        // only those are sorted: a pruning pool of thousands of lines
+        // touches about a hundred sets. `SetLocation` orders as its flat
+        // index does, so this is the sorted, deduplicated list of `locs`.
+        let geometry = self.host.hierarchy.shared_geometry();
+        plan.seen.resize(geometry.total_sets().div_ceil(64), 0);
         plan.distinct.clear();
-        plan.distinct.extend_from_slice(&plan.locs);
+        for &loc in &plan.locs {
+            let flat = loc.flat_index(geometry.sets_per_slice);
+            let (word, bit) = (flat / 64, 1u64 << (flat % 64));
+            if plan.seen[word] & bit == 0 {
+                plan.seen[word] |= bit;
+                plan.distinct.push(loc);
+            }
+        }
         plan.distinct.sort_unstable();
-        plan.distinct.dedup();
+        for loc in &plan.distinct {
+            plan.seen[loc.flat_index(geometry.sets_per_slice) / 64] = 0;
+        }
         plan.epoch = self.plan_epoch;
     }
 
@@ -843,15 +862,19 @@ impl Machine {
     }
 
     fn do_attacker_access(&mut self, line: LineAddr, loc: SetLocation) -> HitLevel {
-        let outcome = self.host.hierarchy.access_at(self.attacker_core, line, loc, AccessKind::Read);
-        self.stats.attacker_accesses += 1;
         if self.helper_echo {
             // The helper thread repeats the access from another core shortly
             // afterwards, turning the line Shared and pushing it to the LLC.
-            self.host.hierarchy.access_at(self.helper_core, line, loc, AccessKind::Read);
-            self.stats.attacker_accesses += 1;
+            self.stats.attacker_accesses += 2;
+            return self.host.hierarchy.echoed_read(
+                self.attacker_core,
+                self.helper_core,
+                line,
+                loc,
+            );
         }
-        outcome.level
+        self.stats.attacker_accesses += 1;
+        self.host.hierarchy.access_at(self.attacker_core, line, loc, AccessKind::Read).level
     }
 
     /// Advances the clock by `cost`, replaying victim activity and scheduled
@@ -1240,5 +1263,33 @@ mod tests {
         assert_send_sync::<MachineSnapshot>();
         fn assert_send<T: Send>() {}
         assert_send::<Machine>();
+    }
+
+    /// A plan's distinct sets are its locations sorted and deduplicated, for
+    /// lists of every length, duplicates included, compiled one after
+    /// another into the same plan (each compile must leave its bitmap of
+    /// seen sets clear for the next).
+    #[test]
+    fn compiled_distinct_sets_are_the_sorted_deduplicated_locations() {
+        let mut m = quiet_machine();
+        let base = m.alloc_attacker_pages(16);
+        let mut plan = TraversalPlan::default();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0, 1, 2, 7, 64, 300, 5, 1000, 3] {
+            let vas: Vec<VirtAddr> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    base.offset((state % (16 * 64)) * 64)
+                })
+                .collect();
+            m.compile_plan_into(&vas, &mut plan);
+            let mut want: Vec<SetLocation> =
+                vas.iter().map(|&va| m.oracle_attacker_location(va)).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(plan.distinct_sets(), &want[..], "{len} addresses");
+        }
     }
 }
