@@ -179,18 +179,22 @@ pub struct Hierarchy {
     /// borrowed, applied once the burst completes. Contents are dead between
     /// calls; the buffer exists only so noise bursts allocate nothing.
     noise_evictions: Vec<(LineAddr, u64)>,
+    /// The write count: advanced by every public operation that can change
+    /// a set (see [`Hierarchy::write_count`]).
+    writes: u64,
 }
 
-/// The replay memo of [`Hierarchy::read_traversal`]: the two most recent
-/// traversals whose reads all hit L1 or L2, each with the state of the sets
-/// it touched before and after it, and its serving levels.
+/// The replay memo of [`Hierarchy::read_traversal`]: the last two
+/// traversals it recorded (ones whose reads all hit L1 or L2), each with
+/// the state of the sets it touched before and after it, and its serving
+/// levels.
 ///
 /// The memo is scratch state owned by the caller, never part of a
-/// hierarchy or its clones. An entry is replayed only when the sets it
-/// touched hold exactly its recorded pre-state, so no entry can go stale: a
-/// snapshot restore, noise or another core's access that changed those sets
-/// just makes it miss. Its buffers are reused, so it allocates nothing in
-/// steady state.
+/// hierarchy or its clones, and it serves one hierarchy. An entry is
+/// replayed only when the sets it touched hold exactly its recorded
+/// pre-state, so no entry can go stale: a snapshot restore, noise or
+/// another core's access that changed those sets just makes it miss. Its
+/// buffers are reused, so it allocates nothing in steady state.
 #[derive(Debug)]
 pub struct TraversalMemo {
     /// The two entries and the buffers of the traversal being simulated,
@@ -200,6 +204,16 @@ pub struct TraversalMemo {
     last: usize,
     /// The slot of the traversal being simulated.
     spare: usize,
+    /// The hierarchy's write count right after the memo last left entry
+    /// `last`'s post-state in the sets; `None` before the first entry.
+    stamp: Option<u64>,
+    /// `links[a][b]`: whether slot `b` is recorded with slot `a`'s key and
+    /// a pre-state equal to slot `a`'s post-state. Decided the first time a
+    /// traversal asks, dropped when either slot records again.
+    links: [[Option<bool>; 3]; 3],
+    /// Traversals simulated in a row since the last replay or since the
+    /// spare slot last changed key.
+    misses: u64,
     /// Buffers of debug builds' replay check.
     #[cfg(debug_assertions)]
     check: ReplayCheck,
@@ -211,10 +225,45 @@ impl Default for TraversalMemo {
             slots: Default::default(),
             last: 0,
             spare: 2,
+            stamp: None,
+            links: [[None; 3]; 3],
+            misses: 0,
             #[cfg(debug_assertions)]
             check: ReplayCheck::default(),
         }
     }
+}
+
+impl TraversalMemo {
+    /// Whether slot `to` replays from recorded slot `from`'s post-state:
+    /// it is recorded with the same key, so it saves the same sets, and its
+    /// pre-state equals that post-state.
+    fn linked(&mut self, from: usize, to: usize) -> bool {
+        let (a, b) = (&self.slots[from], &self.slots[to]);
+        *self.links[from][to]
+            .get_or_insert_with(|| b.matches(a.rows.core, &a.lines) && b.pre == a.post)
+    }
+
+    /// Drops the links of `slot`, which is about to record.
+    fn unlink(&mut self, slot: usize) {
+        self.links[slot] = [None; 3];
+        for row in &mut self.links {
+            row[slot] = None;
+        }
+    }
+}
+
+/// How [`Hierarchy::read_traversal`] produced a traversal's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraversalPath {
+    /// The reads were simulated.
+    Simulated,
+    /// Replayed after the entry's sets were compared with its pre-state.
+    Compared,
+    /// Replayed without a compare: nothing had written to the hierarchy
+    /// since the memo left the last entry's post-state in the sets, and
+    /// that post-state is this entry's pre-state.
+    Linked,
 }
 
 /// Debug builds' replay check (see `Hierarchy::replay_checked`): the
@@ -238,12 +287,26 @@ struct MemoEntry {
     pre: Footprint,
     post: Footprint,
     levels: Vec<HitLevel>,
+    /// The rows a replay writes; worked out at the entry's first replay, so
+    /// a loop that records entries it never replays does not pay for it.
+    changed: Option<RowMasks>,
 }
 
 impl MemoEntry {
     fn matches(&self, core: CoreId, lines: &[LineAddr]) -> bool {
         self.recorded && self.rows.core == core && self.lines == lines
     }
+}
+
+/// The rows of each structure in which an entry's post-state differs from
+/// its pre-state, as `SetArena::changed_rows` masks. A replay starts from
+/// the pre-state, so it writes only these rows.
+#[derive(Debug, Clone, Copy)]
+struct RowMasks {
+    l1: u64,
+    l2: u64,
+    llc: u64,
+    sf: u64,
 }
 
 /// The sets a traversal that hits only private caches can touch: the
@@ -271,6 +334,10 @@ fn push_distinct(rows: &mut Vec<usize>, row: usize) {
         rows.push(row);
     }
 }
+
+/// Misses in a row on one key after which [`Hierarchy::read_traversal`]
+/// saves and records only two traversals in every this many.
+const BACKOFF: u64 = 8;
 
 /// Synthetic noise lines live far above any address the paging module hands
 /// out (frame numbers are bounded by physical memory size).
@@ -312,6 +379,7 @@ impl Hierarchy {
             sf,
             noise_counter: 0,
             noise_evictions: Vec::new(),
+            writes: 0,
         }
     }
 
@@ -322,8 +390,13 @@ impl Hierarchy {
     /// warmed 8-slice Skylake-SP this way performs zero heap allocations —
     /// each level's flat set arena restores with a handful of
     /// `copy_from_slice` memcpys, with no per-set recursion.
+    ///
+    /// The write count is advanced, not copied: a memo kept across the
+    /// rewind stamped `self`'s count, and `source`'s could equal that stamp
+    /// while its sets differ.
     pub fn restore_from(&mut self, source: &Hierarchy) {
         debug_assert_eq!(self.spec, source.spec, "snapshot specification mismatch");
+        self.writes += 1;
         for (dst, src) in self.l1.iter_mut().zip(&source.l1) {
             dst.restore_from(src);
         }
@@ -333,6 +406,18 @@ impl Hierarchy {
         self.llc.restore_from(&source.llc);
         self.sf.restore_from(&source.sf);
         self.noise_counter = source.noise_counter;
+    }
+
+    /// The write count: how many operations that can change a set this
+    /// hierarchy has run. Every public `&mut self` method advances it
+    /// (`access`, `access_at`, `echoed_read`, `read_traversal`, `clflush`,
+    /// `noise_access`, a non-empty `noise_access_bulk` or
+    /// `noise_advance_bulk`, `prime_as_victim`, `flush_all` and
+    /// `restore_from`). While it has not moved, no set has changed, which
+    /// is what lets [`Hierarchy::read_traversal`] skip comparing sets it
+    /// left in a known state. Clones copy it.
+    pub fn write_count(&self) -> u64 {
+        self.writes
     }
 
     /// The machine specification used to build this hierarchy.
@@ -477,6 +562,7 @@ impl Hierarchy {
     ) -> (AccessOutcome, Option<FillWays>) {
         assert!(core < self.spec.cores, "core {core} out of range");
         debug_assert_eq!(loc, self.llc.location(line), "location does not match the line");
+        self.writes += 1;
         if let Some(outcome) = self.private_stage(core, line, loc, kind) {
             return (outcome, None);
         }
@@ -543,8 +629,9 @@ impl Hierarchy {
 
     /// Reads `lines` from `core` in order, all of them in the one LLC/SF set
     /// `loc` (an eviction set being primed or probed), and leaves the
-    /// serving level of each access in `levels`. Returns whether the
-    /// traversal was replayed from `memo`.
+    /// serving level of each access in `levels`. Returns whether and how
+    /// the traversal was replayed from `memo`, which must serve this
+    /// hierarchy alone.
     ///
     /// The outcome is that of a [`Hierarchy::access_at`] read per line, bit
     /// for bit. A read that hits `core`'s L1 or L2 touches only that core's
@@ -553,11 +640,18 @@ impl Hierarchy {
     /// and the line's state. Unless the replacement policy draws random
     /// numbers, those sets' contents decide the whole outcome. So when
     /// `core` and `lines` match a memo entry and those sets hold exactly the
-    /// entry's recorded pre-state, the entry's post-state and levels are
-    /// written instead of simulated. Otherwise the reads are simulated, and
-    /// the traversal is recorded if every one of them hit L1 or L2. Debug
-    /// builds simulate a replayed traversal as well and assert that the
-    /// replay leaves what the simulation left.
+    /// entry's recorded pre-state, the rows its post-state changes are
+    /// written and its levels returned instead of simulated. Whether the
+    /// sets hold the pre-state is known without a compare when the write
+    /// count has not moved since the memo left another entry's post-state
+    /// there under the same key: then they hold it exactly when that
+    /// post-state equals this pre-state, which is decided once per pair of
+    /// entries. Otherwise the sets are compared. A traversal that is not
+    /// replayed is simulated, and recorded if every read hit L1 or L2;
+    /// after more than eight such traversals in a row on one key, only two
+    /// in every eight are saved and recorded. Debug builds simulate a
+    /// replayed traversal as well and assert that the replay leaves what the
+    /// simulation left.
     pub fn read_traversal(
         &mut self,
         core: CoreId,
@@ -565,31 +659,49 @@ impl Hierarchy {
         loc: SetLocation,
         memo: &mut TraversalMemo,
         levels: &mut Vec<HitLevel>,
-    ) -> bool {
+    ) -> TraversalPath {
         if self.spec.hierarchy.replacement.uses_rng() {
             self.read_each(core, lines, loc, levels);
-            return false;
+            return TraversalPath::Simulated;
         }
         // A probe loop alternates between the two entries (the L1 thrash
         // cycle has period 2), so the entry not used last is tried first.
         let other = 3 - memo.last - memo.spare;
+        // The sets hold entry `last`'s post-state, and it has this key.
+        let known = memo.stamp == Some(self.writes) && memo.slots[memo.last].matches(core, lines);
         for i in [other, memo.last] {
             let entry = &memo.slots[i];
-            if entry.matches(core, lines) && self.footprint_equals(&entry.rows, &entry.pre) {
-                #[cfg(debug_assertions)]
-                self.replay_checked(entry, loc, &mut memo.check);
-                #[cfg(not(debug_assertions))]
-                self.load_footprint(&entry.rows, &entry.post);
-                levels.clear();
-                levels.extend_from_slice(&entry.levels);
-                memo.last = i;
-                return true;
-            }
+            let path = if known {
+                if !memo.linked(memo.last, i) {
+                    continue;
+                }
+                TraversalPath::Linked
+            } else if entry.matches(core, lines) && self.footprint_equals(&entry.rows, &entry.pre) {
+                TraversalPath::Compared
+            } else {
+                continue;
+            };
+            let entry = &mut memo.slots[i];
+            let masks = *entry
+                .changed
+                .get_or_insert_with(|| self.changed_rows(&entry.rows, &entry.pre, &entry.post));
+            self.writes += 1;
+            #[cfg(debug_assertions)]
+            self.replay_checked(&memo.slots[i], masks, loc, &mut memo.check);
+            #[cfg(not(debug_assertions))]
+            self.load_footprint(&entry.rows, &entry.post, masks);
+            levels.clear();
+            levels.extend_from_slice(&memo.slots[i].levels);
+            memo.last = i;
+            memo.stamp = Some(self.writes);
+            memo.misses = 0;
+            return path;
         }
         // The spare slot usually holds this key already: a probe loop re-keys
         // it only when it moves to another eviction set.
         let pending = &mut memo.slots[memo.spare];
         if pending.rows.core != core || pending.lines != lines {
+            memo.misses = 0;
             pending.lines.clear();
             pending.lines.extend_from_slice(lines);
             let rows = &mut pending.rows;
@@ -601,6 +713,17 @@ impl Hierarchy {
                 push_distinct(&mut rows.l2, self.spec.l2.set_index(line));
             }
         }
+        // A loop whose sets never come round to a recorded pre-state (one
+        // disturbed before every other probe, say) would save every
+        // pre-state for nothing. Past `BACKOFF` misses in a row, two
+        // traversals in a row out of every `BACKOFF` are still saved and
+        // recorded, which is enough to pick up a cycle of period 2 again.
+        memo.misses += 1;
+        if memo.misses > BACKOFF && memo.misses % BACKOFF >= 2 {
+            self.read_each(core, lines, loc, levels);
+            return TraversalPath::Simulated;
+        }
+        let pending = &mut memo.slots[memo.spare];
         pending.rows.shared = [self.llc.flat(loc)];
         self.save_footprint(&pending.rows, &mut pending.pre);
         self.read_each(core, lines, loc, levels);
@@ -609,10 +732,13 @@ impl Hierarchy {
             pending.levels.clear();
             pending.levels.extend_from_slice(levels);
             pending.recorded = true;
+            pending.changed = None;
+            memo.unlink(memo.spare);
+            memo.stamp = Some(self.writes);
             // The older entry's slot takes the next pending traversal.
             (memo.last, memo.spare) = (memo.spare, other);
         }
-        false
+        TraversalPath::Simulated
     }
 
     /// One [`Hierarchy::access_at`] read per line: the simulation that
@@ -630,17 +756,26 @@ impl Hierarchy {
         );
     }
 
-    /// A replay in debug builds, checked against the simulation. The reads
-    /// are simulated first; then the core's L1 and L2 sets of the lines and
-    /// the LLC and SF set are rewound, the entry's post-state is loaded, and
-    /// those sets and the levels must be what the simulation left. The sets
-    /// are saved and rewound here by code of their own, not by the memo's
+    /// A replay in debug builds, checked against the simulation. The sets
+    /// must hold the entry's pre-state, as a replay without a compare takes
+    /// for granted. The reads are simulated first; then the core's L1 and
+    /// L2 sets of the lines and the LLC and SF set are rewound, the rows of
+    /// `masks` are loaded from the entry's post-state, and those sets and
+    /// the levels must be what the simulation left. The sets are saved and
+    /// rewound here by code of their own, not by the memo's
     /// `save_footprint` and `load_footprint`, so an entry that leaves out a
-    /// set the reads touch fails the check instead of being masked by the
-    /// simulation.
+    /// set the reads touch, or a mask that leaves out a row they change,
+    /// fails the check instead of being masked by the simulation.
     #[cfg(debug_assertions)]
-    fn replay_checked(&mut self, entry: &MemoEntry, loc: SetLocation, check: &mut ReplayCheck) {
+    fn replay_checked(
+        &mut self,
+        entry: &MemoEntry,
+        masks: RowMasks,
+        loc: SetLocation,
+        check: &mut ReplayCheck,
+    ) {
         let rows = &entry.rows;
+        assert!(self.footprint_equals(rows, &entry.pre), "replayed sets differ from the pre-state");
         let (core, shared) = (rows.core, &rows.shared);
         let save = |h: &Self, out: &mut Footprint| {
             h.l1[core].arena.save_rows(&rows.l1, true, &mut out.l1);
@@ -651,11 +786,11 @@ impl Hierarchy {
         save(self, &mut check.before);
         self.read_each(core, &entry.lines, loc, &mut check.levels);
         save(self, &mut check.simulated);
-        self.l1[core].arena.load_rows(&rows.l1, &check.before.l1);
-        self.l2[core].arena.load_rows(&rows.l2, &check.before.l2);
-        self.llc.arena.load_rows(shared, &check.before.llc);
-        self.sf.arena.load_rows(shared, &check.before.sf);
-        self.load_footprint(rows, &entry.post);
+        self.l1[core].arena.load_rows(&rows.l1, &check.before.l1, u64::MAX);
+        self.l2[core].arena.load_rows(&rows.l2, &check.before.l2, u64::MAX);
+        self.llc.arena.load_rows(shared, &check.before.llc, u64::MAX);
+        self.sf.arena.load_rows(shared, &check.before.sf, u64::MAX);
+        self.load_footprint(rows, &entry.post, masks);
         save(self, &mut check.before);
         assert_eq!(check.levels, entry.levels, "replayed levels differ from the simulation");
         assert!(check.before == check.simulated, "replayed sets differ from the simulation");
@@ -679,11 +814,22 @@ impl Hierarchy {
             && self.sf.arena.rows_equal(&rows.shared, &saved.sf)
     }
 
-    fn load_footprint(&mut self, rows: &FootprintRows, saved: &Footprint) {
-        self.l1[rows.core].arena.load_rows(&rows.l1, &saved.l1);
-        self.l2[rows.core].arena.load_rows(&rows.l2, &saved.l2);
-        self.llc.arena.load_rows(&rows.shared, &saved.llc);
-        self.sf.arena.load_rows(&rows.shared, &saved.sf);
+    /// The rows of each structure in which `post` differs from `pre`.
+    fn changed_rows(&self, rows: &FootprintRows, pre: &Footprint, post: &Footprint) -> RowMasks {
+        RowMasks {
+            l1: self.l1[rows.core].arena.changed_rows(&pre.l1, &post.l1),
+            l2: self.l2[rows.core].arena.changed_rows(&pre.l2, &post.l2),
+            llc: self.llc.arena.changed_rows(&pre.llc, &post.llc),
+            sf: self.sf.arena.changed_rows(&pre.sf, &post.sf),
+        }
+    }
+
+    /// Writes the rows of `masks` from `saved` into the footprint's sets.
+    fn load_footprint(&mut self, rows: &FootprintRows, saved: &Footprint, masks: RowMasks) {
+        self.l1[rows.core].arena.load_rows(&rows.l1, &saved.l1, masks.l1);
+        self.l2[rows.core].arena.load_rows(&rows.l2, &saved.l2, masks.l2);
+        self.llc.arena.load_rows(&rows.shared, &saved.llc, masks.llc);
+        self.sf.arena.load_rows(&rows.shared, &saved.sf, masks.sf);
     }
 
     /// Steps 3–5 of the paper's non-inclusive protocol (Section 2.3). A
@@ -904,6 +1050,7 @@ impl Hierarchy {
     /// Flushes `line` from the entire hierarchy (like `clflush` issued by a
     /// core that owns the backing memory).
     pub fn clflush(&mut self, line: LineAddr) {
+        self.writes += 1;
         for c in 0..self.spec.cores {
             self.l1[c].invalidate(line);
             self.l2[c].invalidate(line);
@@ -919,6 +1066,7 @@ impl Hierarchy {
     /// in the SF). Either way the insertion can evict a real line, producing
     /// exactly the interference the attacker observes on Cloud Run.
     pub fn noise_access(&mut self, loc: SetLocation, shared: bool) {
+        self.writes += 1;
         self.noise_counter += 1;
         let synthetic = LineAddr::from_line_number(NOISE_LINE_BASE + self.noise_counter);
         // The inclusive hierarchy has no SF: all background traffic, shared
@@ -955,6 +1103,7 @@ impl Hierarchy {
         // Empty bursts are the common case on a quiescent machine; skip the
         // view setup entirely.
         let Some(first) = events.next() else { return };
+        self.writes += 1;
         // Per-event dispatch for the non-default inclusion policies: their
         // noise paths are not hot in any golden workload.
         if self.inclusion() != InclusionPolicy::NonInclusive {
@@ -1022,6 +1171,7 @@ impl Hierarchy {
         if llc_fills == 0 && sf_fills == 0 {
             return;
         }
+        self.writes += 1;
 
         let mut pending = std::mem::take(&mut self.noise_evictions);
         pending.clear();
@@ -1063,6 +1213,7 @@ impl Hierarchy {
     /// the victim (or by another tenant) displaces it even though the
     /// attacker keeps re-touching it during the scope checks.
     pub fn prime_as_victim(&mut self, line: LineAddr) {
+        self.writes += 1;
         let loc = self.llc.location(line);
         if !self.llc.demote_at(loc, line) {
             self.sf.demote_at(loc, line);
@@ -1137,6 +1288,7 @@ impl Hierarchy {
 
     /// Drops every cached line (used between independent experiment trials).
     pub fn flush_all(&mut self) {
+        self.writes += 1;
         for c in 0..self.spec.cores {
             self.l1[c].clear();
             self.l2[c].clear();

@@ -202,10 +202,37 @@ impl<T: Copy + Default> SetArena<T> {
         })
     }
 
+    /// A mask of the rows in which `b` differs from `a`, both saved by
+    /// [`SetArena::save_rows`] for the same rows: bit `i` stands for row
+    /// `i`. [`SetArena::load_rows`] loads every row from the 64th on, so
+    /// their bits are left out.
+    pub(crate) fn changed_rows(&self, a: &SavedRows<T>, b: &SavedRows<T>) -> u64
+    where
+        T: PartialEq,
+    {
+        let mut mask = 0;
+        for i in 0..a.valid.len().min(64) {
+            let (s, m) = (i * self.ways..(i + 1) * self.ways, self.meta_range(i));
+            if a.valid[i] != b.valid[i]
+                || a.meta[m.clone()] != b.meta[m]
+                || a.lines[s.clone()] != b.lines[s.clone()]
+                || (a.payloads && a.payload[s.clone()] != b.payload[s])
+            {
+                mask |= 1 << i;
+            }
+        }
+        mask
+    }
+
     /// Writes `saved` back into sets `rows` (the inverse of
-    /// [`SetArena::save_rows`] for the same `rows`).
-    pub(crate) fn load_rows(&mut self, rows: &[usize], saved: &SavedRows<T>) {
+    /// [`SetArena::save_rows`] for the same `rows`), skipping row `i` when
+    /// bit `i` of `mask` is clear: a row whose saved contents the set
+    /// already holds. Rows from the 64th on are always written.
+    pub(crate) fn load_rows(&mut self, rows: &[usize], saved: &SavedRows<T>, mask: u64) {
         for (i, &row) in rows.iter().enumerate() {
+            if i < 64 && mask >> i & 1 == 0 {
+                continue;
+            }
             let (r, s) =
                 (row * self.ways..(row + 1) * self.ways, i * self.ways..(i + 1) * self.ways);
             let (rm, sm) = (self.meta_range(row), self.meta_range(i));

@@ -4,41 +4,37 @@
 //!
 //! Twin hierarchies run one op stream. Eviction-set traversals go through
 //! `read_traversal` on one twin and through one `access_at` read per line on
-//! the other; everything else — background noise on the set (per event and
-//! in bulk), `clflush` of one of its lines, another core's read of a
-//! congruent line, replacement-state priming, any core's reads of lines
-//! that share only the private sets, and snapshot rewinds that keep the
-//! memo — is applied to both. After
-//! every step the serving levels must be equal, and so must every set the
-//! stream can touch, way by way (lines, payloads and metadata words), for
-//! every core's L1 and L2 and for the LLC and SF; at the end of a stream,
-//! every set of every structure must be. Every inclusion policy × every
-//! replacement policy runs on `tiny_test` and on `skylake_sp(2, 4)`. Where
-//! LRU makes the traversal's L1 cycle short enough for the memo's two
-//! entries, replays must have happened, so the suite cannot pass without
-//! exercising them.
+//! the other; everything else — background noise on the set (per event, in
+//! bulk and as an aggregate advance), `clflush` of one of its lines,
+//! another core's read of a congruent line, helper-echoed reads of one,
+//! replacement-state priming, any core's reads of lines that share only the
+//! private sets, `flush_all`, and snapshot rewinds that keep the memo — is
+//! applied to both. After every step the serving levels must be equal, and
+//! so must every set the stream can touch, way by way (lines, payloads and
+//! metadata words), for every core's L1 and L2 and for the LLC and SF; at
+//! the end of a stream, every set of every structure must be. Every
+//! inclusion policy × every replacement policy runs on `tiny_test` and on
+//! `skylake_sp(2, 4)`. Where LRU makes the traversal's L1 cycle short
+//! enough for the memo's two entries, replays must have happened, and some
+//! of them without a compare (`TraversalPath::Linked`), so the suite cannot
+//! pass without exercising either path. Every operation between two
+//! traversals advances the write count that decides the compare-free path,
+//! so an entry point that forgot to would replay over changed sets here.
+
+mod support;
 
 use llc_cache_model::{
     AccessKind, CacheSpec, Hierarchy, HitLevel, InclusionPolicy, LineAddr, ReplacementKind,
-    SetLocation, SetView, TraversalMemo,
+    SetLocation, TraversalMemo, TraversalPath,
 };
 use proptest::prelude::*;
-use std::fmt::Debug;
-
-const INCLUSIONS: [InclusionPolicy; 3] =
-    [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive];
-
-const POLICIES: [ReplacementKind; 5] = [
-    ReplacementKind::Lru,
-    ReplacementKind::TreePlru,
-    ReplacementKind::Qlru,
-    ReplacementKind::Srrip,
-    ReplacementKind::Random,
-];
+use support::{congruent_lines, same_everywhere, same_touched_sets, INCLUSIONS, POLICIES};
 
 /// Undisturbed traversals that end every stream: enough for a cycle of
-/// period 2 to come round twice after a cold traversal.
-const SETTLE_TRAVERSALS: usize = 6;
+/// period 2 to come round twice after a cold traversal, also when the
+/// memo's back-off (two traversals recorded in every eight, after more than
+/// eight misses in a row) holds off recording for six of them.
+const SETTLE_TRAVERSALS: usize = 12;
 
 /// One traversal of the hierarchy under test's twin: an `access_at` read
 /// per line.
@@ -49,18 +45,6 @@ fn read_loop(
     loc: SetLocation,
 ) -> Vec<HitLevel> {
     lines.iter().map(|&line| h.access_at(core, line, loc, AccessKind::Read).level).collect()
-}
-
-/// `count` lines from line `anchor` upwards that share `anchor`'s LLC/SF set.
-fn congruent_lines(h: &Hierarchy, anchor: u64, count: usize) -> Vec<LineAddr> {
-    let loc = h.shared_location(LineAddr::from_line_number(anchor));
-    let step = h.spec().llc.slice_geometry().sets();
-    (anchor..)
-        .step_by(step)
-        .map(LineAddr::from_line_number)
-        .filter(|&line| h.shared_location(line) == loc)
-        .take(count)
-        .collect()
 }
 
 /// `count` lines from line `anchor` upwards that share `anchor`'s L1 and L2
@@ -94,74 +78,21 @@ fn lru_l1_period(len: usize, ways: usize) -> usize {
     }
 }
 
-fn same_set<T: PartialEq + Debug>(
-    a: SetView<'_, T>,
-    b: SetView<'_, T>,
-    what: &dyn Fn() -> String,
-) -> Result<(), String> {
-    for w in 0..a.num_ways() {
-        prop_assert_eq!(a.line(w), b.line(w), "{} way {}: line", what(), w);
-        prop_assert_eq!(a.payload(w), b.payload(w), "{} way {}: payload", what(), w);
-    }
-    prop_assert_eq!(a.meta(), b.meta(), "{}: metadata", what());
-    Ok(())
+/// How many traversals of a stream were replayed, and how many of those
+/// without a compare.
+#[derive(Debug, Default)]
+struct Replays {
+    all: u64,
+    linked: u64,
 }
 
-/// The sets a stream over `loc` can touch: every core's L1 and L2 set of the
-/// congruent lines (one each, since LLC/SF congruence implies L1 and L2
-/// congruence on every modelled geometry) and the LLC and SF set itself.
-fn same_touched_sets(
-    a: &Hierarchy,
-    b: &Hierarchy,
-    line: LineAddr,
-    loc: SetLocation,
-    step: usize,
-) -> Result<(), String> {
-    let (l1, l2) = (a.l1_set(line), a.l2_set(line));
-    for core in 0..a.cores() {
-        same_set(a.l1_set_view(core, l1), b.l1_set_view(core, l1), &|| {
-            format!("step {step}: core {core} L1 set {l1}")
-        })?;
-        same_set(a.l2_set_view(core, l2), b.l2_set_view(core, l2), &|| {
-            format!("step {step}: core {core} L2 set {l2}")
-        })?;
-    }
-    same_set(a.llc_set_view(loc), b.llc_set_view(loc), &|| format!("step {step}: LLC {loc}"))?;
-    same_set(a.sf_set_view(loc), b.sf_set_view(loc), &|| format!("step {step}: SF {loc}"))
-}
-
-/// Every set of every structure.
-fn same_everywhere(a: &Hierarchy, b: &Hierarchy) -> Result<(), String> {
-    let spec = a.spec();
-    for core in 0..a.cores() {
-        for set in 0..spec.l1.sets() {
-            same_set(a.l1_set_view(core, set), b.l1_set_view(core, set), &|| {
-                format!("end: core {core} L1 set {set}")
-            })?;
-        }
-        for set in 0..spec.l2.sets() {
-            same_set(a.l2_set_view(core, set), b.l2_set_view(core, set), &|| {
-                format!("end: core {core} L2 set {set}")
-            })?;
-        }
-    }
-    let geometry = a.shared_geometry();
-    for flat in 0..geometry.total_sets() {
-        let loc = geometry.location(flat);
-        same_set(a.llc_set_view(loc), b.llc_set_view(loc), &|| format!("end: LLC {loc}"))?;
-        same_set(a.sf_set_view(loc), b.sf_set_view(loc), &|| format!("end: SF {loc}"))?;
-    }
-    Ok(())
-}
-
-/// Runs `ops` on twins of `spec` and checks them after every step; returns
-/// how many traversals were replayed.
+/// Runs `ops` on twins of `spec` and checks them after every step.
 fn run_stream(
     spec: &CacheSpec,
     seed: u64,
     len_pick: usize,
     ops: &[(u8, u8)],
-) -> Result<u64, String> {
+) -> Result<Replays, String> {
     let mut replayed = Hierarchy::new(spec.clone(), seed);
     let mut simulated = Hierarchy::new(spec.clone(), seed);
     // As many lines as the structure backing private copies can hold (the
@@ -180,9 +111,11 @@ fn run_stream(
     let mut saved = (replayed.clone(), simulated.clone());
     let mut memo = TraversalMemo::default();
     let mut levels = Vec::new();
-    let mut replays = 0u64;
+    let mut replays = Replays::default();
     let mut traverse = |a: &mut Hierarchy, b: &mut Hierarchy, core: usize, lines: &[LineAddr]| {
-        replays += u64::from(a.read_traversal(core, lines, loc, &mut memo, &mut levels));
+        let path = a.read_traversal(core, lines, loc, &mut memo, &mut levels);
+        replays.all += u64::from(path != TraversalPath::Simulated);
+        replays.linked += u64::from(path == TraversalPath::Linked);
         (levels.clone(), read_loop(b, core, lines, loc))
     };
 
@@ -242,11 +175,31 @@ fn run_stream(
                 }
             }
             12 => saved = (replayed.clone(), simulated.clone()),
-            _ => {
+            13 => {
                 // A snapshot rewind, which leaves the memo as it is (as
                 // `Machine::reset_to` does).
                 replayed.restore_from(&saved.0);
                 simulated.restore_from(&saved.1);
+            }
+            14 => {
+                // A helper-echoed read of a congruent line, as pruning does.
+                let core = pick % spec.cores;
+                let helper = (core + 1 + pick / 8 % (spec.cores - 1)) % spec.cores;
+                let line = pool[pick / 4 % pool.len()];
+                let got = replayed.echoed_read(core, helper, line, loc);
+                let want = simulated.echoed_read(core, helper, line, loc);
+                prop_assert_eq!(got, want, "step {}: echoed read by {} and {}", step, core, helper);
+            }
+            15 => {
+                let (llc_fills, sf_fills) = ((pick % 4) as u64, (pick / 4 % 4) as u64);
+                for h in [&mut replayed, &mut simulated] {
+                    h.noise_advance_bulk(loc, llc_fills, sf_fills);
+                }
+            }
+            _ => {
+                for h in [&mut replayed, &mut simulated] {
+                    h.flush_all();
+                }
             }
         }
         same_touched_sets(&replayed, &simulated, list[0], loc, step)?;
@@ -259,7 +212,8 @@ fn run_stream(
     same_everywhere(&replayed, &simulated)?;
     if spec.hierarchy.replacement == ReplacementKind::Lru && lru_l1_period(len, spec.l1.ways()) <= 2
     {
-        prop_assert!(replays > 0, "no traversal of {} lines was replayed", len);
+        prop_assert!(replays.all > 0, "no traversal of {} lines was replayed", len);
+        prop_assert!(replays.linked > 0, "no traversal of {} lines replayed unchecked", len);
     }
     Ok(replays)
 }
@@ -290,7 +244,7 @@ proptest! {
     fn replay_matches_the_access_loop_on_tiny_test(
         seed in any::<u64>(),
         len_pick in any::<usize>(),
-        ops in prop::collection::vec((0u8..14, any::<u8>()), 1..80),
+        ops in prop::collection::vec((0u8..17, any::<u8>()), 1..80),
     ) {
         every_composition(CacheSpec::tiny_test(), seed, len_pick, &ops)?;
     }
@@ -306,7 +260,7 @@ proptest! {
     fn replay_matches_the_access_loop_on_skylake_sp(
         seed in any::<u64>(),
         len_pick in any::<usize>(),
-        ops in prop::collection::vec((0u8..14, any::<u8>()), 1..80),
+        ops in prop::collection::vec((0u8..17, any::<u8>()), 1..80),
     ) {
         every_composition(CacheSpec::skylake_sp(2, 4), seed, len_pick, &ops)?;
     }
@@ -349,17 +303,116 @@ fn llc_hits_depend_on_other_cores_and_are_not_replayed() {
                     h.access(0, n, AccessKind::Read);
                 }
             }
-            let was_replayed = replayed.read_traversal(0, &[line], loc, &mut memo, &mut levels);
+            let path = replayed.read_traversal(0, &[line], loc, &mut memo, &mut levels);
             let want = read_loop(&mut simulated, 0, &[line], loc);
             assert_eq!(levels, want, "{inclusion:?} round {round}: levels");
             assert!(
-                !was_replayed,
+                path == TraversalPath::Simulated,
                 "{inclusion:?} round {round}: a {:?} read was replayed",
                 want[0]
             );
             if let Err(e) = same_everywhere(&replayed, &simulated) {
                 panic!("{inclusion:?} round {round}: {e}");
             }
+        }
+    }
+}
+
+/// A rewind advances the write count rather than copying the snapshot's.
+/// The memo's stamp is a write count of the hierarchy it serves, and a
+/// snapshot can reach that count with other sets: here one taken a
+/// traversal before the stamp, whose sets then lose a line of the eviction
+/// set to a `clflush` and whose count is padded up to the stamp with
+/// flushes of a line nothing holds. After the rewind the next traversal
+/// must compare the sets, find them changed and simulate; a replay without
+/// the compare would serve the flushed line from L1.
+#[test]
+fn a_rewind_to_other_sets_at_the_stamped_count_is_compared() {
+    for inclusion in INCLUSIONS {
+        let spec = CacheSpec::tiny_test().with_inclusion(inclusion);
+        let mut replayed = Hierarchy::new(spec.clone(), 11);
+        let mut simulated = Hierarchy::new(spec.clone(), 11);
+        // Two lines fit the 4-way L1, so an undisturbed traversal leaves
+        // the sets as it found them and links its entry to itself.
+        let list = congruent_lines(&replayed, 0x40, 2);
+        let loc = replayed.shared_location(list[0]);
+        let mut memo = TraversalMemo::default();
+        let mut levels = Vec::new();
+        let mut traverse = |a: &mut Hierarchy, b: &mut Hierarchy| {
+            let path = a.read_traversal(0, &list, loc, &mut memo, &mut levels);
+            let want = read_loop(b, 0, &list, loc);
+            assert_eq!(levels, want, "{inclusion:?}: levels");
+            (path, want[0])
+        };
+        let paths: Vec<_> = (0..3).map(|_| traverse(&mut replayed, &mut simulated).0).collect();
+        assert_eq!(paths.last(), Some(&TraversalPath::Linked), "{inclusion:?}: {paths:?}");
+        let mut snapshot = (replayed.clone(), simulated.clone());
+        let (path, _) = traverse(&mut replayed, &mut simulated);
+        assert_eq!(path, TraversalPath::Linked, "{inclusion:?}");
+
+        let nowhere = LineAddr::from_line_number(1 << 40);
+        for h in [&mut snapshot.0, &mut snapshot.1] {
+            h.clflush(list[0]);
+        }
+        let behind = replayed.write_count().checked_sub(snapshot.0.write_count());
+        for _ in 0..behind.expect("the snapshot wrote less than the hierarchy") {
+            snapshot.0.clflush(nowhere);
+        }
+        assert_eq!(snapshot.0.write_count(), replayed.write_count(), "{inclusion:?}");
+        replayed.restore_from(&snapshot.0);
+        simulated.restore_from(&snapshot.1);
+        let (path, first) = traverse(&mut replayed, &mut simulated);
+        assert_eq!(path, TraversalPath::Simulated, "{inclusion:?}");
+        assert_eq!(first, HitLevel::Memory, "{inclusion:?}: the flushed line");
+        if let Err(e) = same_everywhere(&replayed, &simulated) {
+            panic!("{inclusion:?}: {e}");
+        }
+    }
+}
+
+/// After more than eight traversals in a row that it could not replay, the
+/// memo saves and records only two in every eight. That must not keep a
+/// loop from being replayed once its disturbance stops: whichever phase of
+/// the back-off the disturbance ends in, a period-2 probe loop replays
+/// without a compare by its ninth undisturbed traversal (up to six go
+/// unrecorded, the first of them reloading the last flushed line; the next
+/// two record) and on every traversal after that.
+#[test]
+fn a_loop_replays_again_after_a_run_of_misses() {
+    let spec = CacheSpec::skylake_sp(2, 4).with_replacement(ReplacementKind::Lru);
+    for disturbed in 1..=24 {
+        let mut replayed = Hierarchy::new(spec.clone(), 5);
+        let mut simulated = Hierarchy::new(spec.clone(), 5);
+        // As many lines as the SF has ways: they thrash the 8-way L1 with
+        // period 2 and all stay in the L2.
+        let list = congruent_lines(&replayed, 0x40, spec.sf.ways());
+        assert_eq!(lru_l1_period(list.len(), spec.l1.ways()), 2);
+        let loc = replayed.shared_location(list[0]);
+        let mut memo = TraversalMemo::default();
+        let mut levels = Vec::new();
+        let mut paths = Vec::new();
+        for step in 0..disturbed + 16 {
+            if step < disturbed {
+                for h in [&mut replayed, &mut simulated] {
+                    h.clflush(list[step % list.len()]);
+                }
+            }
+            paths.push(replayed.read_traversal(0, &list, loc, &mut memo, &mut levels));
+            let want = read_loop(&mut simulated, 0, &list, loc);
+            assert_eq!(levels, want, "{disturbed} disturbed, step {step}: levels");
+        }
+        let (during, after) = paths.split_at(disturbed);
+        assert!(during.iter().all(|&p| p == TraversalPath::Simulated), "{during:?}");
+        let first = after.iter().position(|&p| p == TraversalPath::Linked);
+        let first = first
+            .filter(|&i| i < 9)
+            .unwrap_or_else(|| panic!("{disturbed} disturbed: no link by the ninth: {after:?}"));
+        assert!(
+            after[first..].iter().all(|&p| p == TraversalPath::Linked),
+            "{disturbed} disturbed: {after:?}"
+        );
+        if let Err(e) = same_everywhere(&replayed, &simulated) {
+            panic!("{disturbed} disturbed: {e}");
         }
     }
 }

@@ -292,6 +292,21 @@ struct VictimRuntime {
     request_gap: u64,
 }
 
+impl VictimRuntime {
+    /// Whether advancing to cycle `to` has anything to do: the active run's
+    /// next access, or its end once every access is done, or the next
+    /// run's start.
+    fn due_by(&self, to: u64) -> bool {
+        match &self.active {
+            Some(run) => match run.schedule.accesses().get(run.next) {
+                Some(access) => run.start + access.offset <= to,
+                None => run.start + run.schedule.duration() <= to,
+            },
+            None => self.next_start.is_some_and(|start| start <= to),
+        }
+    }
+}
+
 /// The simulated host machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -320,7 +335,8 @@ pub struct Machine {
     /// The replay memo of single-set attacker traversals (see
     /// [`Hierarchy::read_traversal`]). Not part of snapshots: an entry
     /// replays only on an exact match of the sets it touched, so after a
-    /// rewind it is as valid as before.
+    /// rewind it is as valid as before (a rewind advances the hierarchy's
+    /// write count, so the memo compares the sets again).
     scratch_memo: TraversalMemo,
     /// Reusable buffer tenant bursts are drawn into (same rationale as the
     /// other scratch buffers; not part of snapshots).
@@ -939,6 +955,9 @@ impl Machine {
     }
 
     fn advance_victim(&mut self, to: u64) {
+        if !self.victim.as_ref().is_some_and(|v| v.due_by(to)) {
+            return;
+        }
         // Take the runtime out to sidestep borrow conflicts with &mut self.
         let Some(mut v) = self.victim.take() else {
             return;

@@ -65,13 +65,33 @@ pub struct MonitorStats {
     pub std_probe_cycles: f64,
 }
 
-fn mean_std(values: &[u64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
+/// Count, sum and sum of squares of a run of latencies, in integers: the
+/// mean and standard deviation in O(1) memory however long the run.
+#[derive(Debug, Clone, Copy, Default)]
+struct LatencySums {
+    count: u64,
+    sum: u128,
+    sum_sq: u128,
+}
+
+impl LatencySums {
+    fn add(&mut self, latency: u64) {
+        let v = u128::from(latency);
+        self.count += 1;
+        self.sum += v;
+        self.sum_sq += v * v;
     }
-    let mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
-    let var = values.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / values.len() as f64;
-    (mean, var.sqrt())
+
+    /// The mean and the population standard deviation; zero for no values.
+    fn mean_std(&self) -> (f64, f64) {
+        if self.count == 0 {
+            return (0.0, 0.0);
+        }
+        let n = self.count as f64;
+        // n² · variance = n·Σv² − (Σv)², exact in integers.
+        let scaled = u128::from(self.count) * self.sum_sq - self.sum * self.sum;
+        (self.sum as f64 / n, (scaled as f64 / (n * n)).sqrt())
+    }
 }
 
 /// A Prime+Probe monitor of a single SF set.
@@ -81,8 +101,8 @@ pub struct Monitor {
     /// Latencies above this value are treated as interrupted measurements and
     /// excluded from the latency statistics (the paper excludes > 20k cycles).
     outlier_cycles: u64,
-    prime_latencies: Vec<u64>,
-    probe_latencies: Vec<u64>,
+    prime_latencies: LatencySums,
+    probe_latencies: LatencySums,
 }
 
 impl Monitor {
@@ -91,8 +111,8 @@ impl Monitor {
         Self {
             primed: PrimedSet::new(strategy, eviction_set),
             outlier_cycles: 20_000,
-            prime_latencies: Vec::new(),
-            probe_latencies: Vec::new(),
+            prime_latencies: LatencySums::default(),
+            probe_latencies: LatencySums::default(),
         }
     }
 
@@ -133,20 +153,20 @@ impl Monitor {
 
     /// Prime/probe latency statistics accumulated so far.
     pub fn stats(&self) -> MonitorStats {
-        let (mean_prime_cycles, std_prime_cycles) = mean_std(&self.prime_latencies);
-        let (mean_probe_cycles, std_probe_cycles) = mean_std(&self.probe_latencies);
+        let (mean_prime_cycles, std_prime_cycles) = self.prime_latencies.mean_std();
+        let (mean_probe_cycles, std_probe_cycles) = self.probe_latencies.mean_std();
         MonitorStats { mean_prime_cycles, std_prime_cycles, mean_probe_cycles, std_probe_cycles }
     }
 
     fn record_prime(&mut self, latency: u64) {
         if latency <= self.outlier_cycles {
-            self.prime_latencies.push(latency);
+            self.prime_latencies.add(latency);
         }
     }
 
     fn record_probe(&mut self, latency: u64) {
         if latency <= self.outlier_cycles {
-            self.probe_latencies.push(latency);
+            self.probe_latencies.add(latency);
         }
     }
 }
@@ -271,6 +291,27 @@ mod tests {
             (2.0..40.0).contains(&rate),
             "detected noise rate {rate}/ms should be near the configured 11.5/ms"
         );
+    }
+
+    /// The integer sums give the two-pass mean and population standard
+    /// deviation, up to the rounding of the two-pass float sums.
+    #[test]
+    fn latency_sums_give_the_two_pass_mean_and_std() {
+        let values: Vec<u64> = (0..10_000u64).map(|i| 90 + i * 7919 % 113).collect();
+        let mut sums = LatencySums::default();
+        for &v in &values {
+            sums.add(v);
+        }
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<u64>() as f64 / n;
+        let var = values.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
+        let (got_mean, got_std) = sums.mean_std();
+        assert_eq!(got_mean, mean);
+        assert!((got_std - var.sqrt()).abs() < 1e-9 * var.sqrt(), "{got_std} vs {}", var.sqrt());
+        assert_eq!(LatencySums::default().mean_std(), (0.0, 0.0));
+        let mut one = LatencySums::default();
+        one.add(20_000);
+        assert_eq!(one.mean_std(), (20_000.0, 0.0));
     }
 
     #[test]
