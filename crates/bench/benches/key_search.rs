@@ -3,10 +3,16 @@
 //! Two costs matter: the enumeration machinery itself (flip-set frontier,
 //! candidate assembly — measured with a no-op verifier) and the end-to-end
 //! search against real public-key verification, whose per-candidate cost is
-//! one curve ladder over the candidate nonce. The planted patterns pin the
-//! solution at a known search depth so the numbers are comparable across
-//! runs. `ladder_64` times that per-candidate ladder alone, and `field_mul`
-//! the GF(2^571) multiplication it is built from.
+//! the verifier's walk from the last candidate: one López–Dahab mixed
+//! addition per bit in which the two nonces differ, then a projective `r`
+//! check. The planted patterns pin the solution at a known search depth so
+//! the numbers are comparable across runs. `walk_4096_rejected` times 4,096
+//! rejected candidates, so its time over 4,096 is the search's cost per
+//! rejected candidate, enumeration and walk together. `ladder_64` times one
+//! Montgomery ladder over a 64-bit scalar, what a victim with 64-bit nonces
+//! pays per signing (an `r`-match's `d·G` check runs the same ladder over a
+//! full-width scalar), and `field_mul` the GF(2^571) multiplication both are
+//! built from.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use llc_ecdsa_victim::{hash_to_scalar, Ecdsa, KeyPair, Scalar};
@@ -66,7 +72,7 @@ fn bench_key_search(c: &mut Criterion) {
             BenchmarkId::new("recover", label),
             &estimates,
             |b, estimates| {
-                let verifier = KeyVerifier::new(*key.public(), transcript.signature, z);
+                let mut verifier = KeyVerifier::new(*key.public(), transcript.signature, z);
                 let config = SearchConfig { max_candidates: 1 << 14, max_flips: 3 };
                 b.iter(|| {
                     let out =
@@ -78,10 +84,27 @@ fn bench_key_search(c: &mut Criterion) {
         );
     }
 
-    // What `KeyVerifier::try_nonce` pays per candidate: one ladder over a
-    // 64-bit scalar, and the field multiplication that dominates it. One
-    // `mul` is ~0.1-1 µs, so it takes many samples; each includes a pair of
-    // `Instant` reads.
+    // The walk per rejected candidate: twelve erasures give 4,096 candidates
+    // at cost 0, and a wrong known bit puts the true nonce beyond them, so
+    // the whole budget is tested and rejected.
+    let mut beyond = planted_estimates(&transcript.ladder_bits, 0, 0);
+    for i in (1..transcript.ladder_bits.len()).step_by(4).take(12) {
+        beyond[i] = BitEstimate::Erased;
+    }
+    beyond[2] = BitEstimate::Known { bit: !transcript.ladder_bits[2], confidence: 0.05 };
+    group.bench_function("walk_4096_rejected", |b| {
+        let mut verifier = KeyVerifier::new(*key.public(), transcript.signature, z);
+        let config = SearchConfig { max_candidates: 4096, max_flips: 3 };
+        b.iter(|| {
+            let out = correct_and_recover(&beyond, &config, |k| verifier.try_nonce(k));
+            assert_eq!((out.key, out.candidates_tested), (None, 4096));
+            out.candidates_tested
+        });
+    });
+
+    // One ladder over a 64-bit scalar, and the field multiplication that
+    // dominates it. One `mul` is ~0.1-1 µs, so it takes many samples; each
+    // includes a pair of `Instant` reads.
     let generator = ecdsa.curve().generator();
     let k64 = Scalar::random_with_bit_length(&mut rng, 64);
     group.bench_function("ladder_64", |b| {

@@ -7,9 +7,15 @@
 //! does: per key bit, one `Madd` and one `Mdouble`, selected by
 //! secret-dependent control flow — which is the cache side channel the paper
 //! exploits (Figure 8).
+//!
+//! Step 4's candidate search does not run the ladder per candidate: it walks
+//! from one candidate nonce to the next by adding ±2^i·G in López–Dahab
+//! projective coordinates ([`LdPoint`], [`Curve::add_mixed`]), from a
+//! process-wide table of 2^i·G ([`Curve::generator_doublings`]).
 
-use crate::gf2m::Gf571;
+use crate::gf2m::{Gf571, DEGREE};
 use crate::scalar::Scalar;
+use std::sync::OnceLock;
 
 /// An affine point on sect571r1, or the point at infinity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +57,63 @@ impl Point {
             Point::Affine { y, .. } => Some(*y),
         }
     }
+}
+
+/// A point in López–Dahab projective coordinates: `(X : Y : Z)` with
+/// `Z ≠ 0` is the affine point `(X/Z, Y/Z²)`, and `Z = 0` is the point at
+/// infinity. Adding an affine point to one costs no inversion
+/// ([`Curve::add_mixed`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LdPoint {
+    x: Gf571,
+    y: Gf571,
+    z: Gf571,
+}
+
+impl LdPoint {
+    /// The point at infinity.
+    pub const INFINITY: LdPoint = LdPoint { x: Gf571::ONE, y: Gf571::ZERO, z: Gf571::ZERO };
+
+    /// The affine point `p` as `(x : y : 1)`.
+    fn from_affine(p: &Point) -> Self {
+        match p {
+            Point::Infinity => Self::INFINITY,
+            Point::Affine { x, y } => LdPoint { x: *x, y: *y, z: Gf571::ONE },
+        }
+    }
+
+    /// True if this is the point at infinity.
+    fn is_infinity(&self) -> bool {
+        self.z.is_zero()
+    }
+
+    /// True if the point is affine with x coordinate `x`: `X = x·Z` and
+    /// `Z ≠ 0`, one multiplication instead of an inversion.
+    pub fn has_affine_x(&self, x: &Gf571) -> bool {
+        !self.is_infinity() && self.x == x.mul(&self.z)
+    }
+}
+
+/// The affine forms of López–Dahab points, none of them infinity, with one
+/// inversion (Montgomery's trick): invert the product of every `Z`, then
+/// peel each `Z⁻¹` off it with two multiplications.
+fn affine_all(points: &[LdPoint]) -> Vec<Point> {
+    // prefix[i] is the product of the Z of points[..i].
+    let mut prefix = Vec::with_capacity(points.len());
+    let mut product = Gf571::ONE;
+    for p in points {
+        prefix.push(product);
+        product = product.mul(&p.z);
+    }
+    // Inverse of the product of the Z of points[..=i], as i falls.
+    let mut inverse = product.inverse();
+    let mut affine = vec![Point::Infinity; points.len()];
+    for (i, p) in points.iter().enumerate().rev() {
+        let z_inv = inverse.mul(&prefix[i]);
+        inverse = inverse.mul(&p.z);
+        affine[i] = Point::affine(p.x.mul(&z_inv), p.y.mul(&z_inv.square()));
+    }
+    affine
 }
 
 /// The sect571r1 curve (SEC 2, version 2.0).
@@ -158,6 +221,72 @@ impl Curve {
             Point::Infinity => Point::Infinity,
             Point::Affine { x, y } => Point::affine(*x, x.add(y)),
         }
+    }
+
+    /// `p + q` for a López–Dahab `p` and an affine `q`, with 8
+    /// multiplications, 5 squarings and no inversion: Hankerson, Menezes and
+    /// Vanstone, *Guide to Elliptic Curve Cryptography*, Algorithm 3.25, with
+    /// sect571r1's `a = 1`. The exceptional cases are exact: `p = q` takes the
+    /// doubling branch and `p = −q` gives infinity.
+    pub fn add_mixed(&self, p: &LdPoint, q: &Point) -> LdPoint {
+        let (x2, y2) = match q {
+            Point::Infinity => return *p,
+            Point::Affine { x, y } => (x, y),
+        };
+        if p.is_infinity() {
+            return LdPoint::from_affine(q);
+        }
+        // HMV's B and A: the x and y differences, scaled by Z1 and Z1².
+        let z1_sq = p.z.square();
+        let dx = p.x.add(&p.z.mul(x2));
+        let dy = p.y.add(&z1_sq.mul(y2));
+        if dx.is_zero() {
+            // Same x: q = p, or q = −p.
+            return if dy.is_zero() {
+                self.double_ld(&LdPoint::from_affine(q))
+            } else {
+                LdPoint::INFINITY
+            };
+        }
+        let c = p.z.mul(&dx);
+        let z3 = c.square();
+        let e = c.mul(&dy);
+        // X3 = D + A² + E, where D = B²·(C + a·Z1²) and a = 1.
+        let x3 = dx.square().mul(&c.add(&z1_sq)).add(&dy.square()).add(&e);
+        let f = x2.mul(&z3).add(&x3);
+        let g = z3.square().mul(&x2.add(y2));
+        let y3 = e.add(&z3).mul(&f).add(&g);
+        LdPoint { x: x3, y: y3, z: z3 }
+    }
+
+    /// `2·p` in López–Dahab coordinates, with 4 multiplications and 5
+    /// squarings (HMV Algorithm 3.24, `a = 1`): `Z3 = X1²·Z1²`,
+    /// `X3 = X1⁴ + b·Z1⁴` and `Y3 = b·Z1⁴·Z3 + X3·(Z3 + Y1² + b·Z1⁴)`.
+    /// `Z3 = 0`, infinity, exactly when `p` is infinity or the point of order
+    /// two (`X1 = 0`).
+    fn double_ld(&self, p: &LdPoint) -> LdPoint {
+        let x1_sq = p.x.square();
+        let z1_sq = p.z.square();
+        let bz4 = self.b.mul(&z1_sq.square());
+        let z3 = x1_sq.mul(&z1_sq);
+        let x3 = x1_sq.square().add(&bz4);
+        let y3 = bz4.mul(&z3).add(&x3.mul(&z3.add(&p.y.square()).add(&bz4)));
+        LdPoint { x: x3, y: y3, z: z3 }
+    }
+
+    /// The affine points 2^i·G for `i < 571`, at index `i`: `k·G` for any
+    /// `k < 2^571` is the sum of those at `k`'s set bits. Built on first use
+    /// by López–Dahab doubling and one shared inversion (`affine_all`),
+    /// and shared by the process (571 points, ~87 KB).
+    pub fn generator_doublings() -> &'static [Point] {
+        static DOUBLINGS: OnceLock<Vec<Point>> = OnceLock::new();
+        DOUBLINGS.get_or_init(|| {
+            let curve = Curve::sect571r1();
+            let g = LdPoint::from_affine(&curve.generator());
+            let doublings: Vec<LdPoint> =
+                std::iter::successors(Some(g), |p| Some(curve.double_ld(p))).take(DEGREE).collect();
+            affine_all(&doublings)
+        })
     }
 
     /// Double-and-add scalar multiplication (verification reference only; the
@@ -272,6 +401,8 @@ fn mdouble(b: &Gf571, x: &mut Gf571, z: &mut Gf571) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn generator_is_on_curve() {
@@ -330,8 +461,6 @@ mod tests {
 
     #[test]
     fn ladder_matches_reference_for_random_scalar() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let curve = Curve::sect571r1();
         let g = curve.generator();
         let mut rng = SmallRng::seed_from_u64(7);
@@ -351,6 +480,74 @@ mod tests {
         let expected: Vec<bool> = k.bits_msb_first()[1..].to_vec();
         let observed: Vec<bool> = steps.iter().map(|s| s.bit).collect();
         assert_eq!(observed, expected);
+    }
+
+    /// A random non-zero field element.
+    fn random_element(rng: &mut SmallRng) -> Gf571 {
+        loop {
+            let mut limbs: [u64; 9] = std::array::from_fn(|_| rng.gen());
+            limbs[8] &= (1 << (DEGREE % 64)) - 1;
+            let e = Gf571::from_limbs(limbs);
+            if !e.is_zero() {
+                return e;
+            }
+        }
+    }
+
+    /// The affine `p` as López–Dahab `(λx : λ²y : λ)`.
+    fn scaled(p: &Point, lambda: &Gf571) -> LdPoint {
+        let (x, y) = (p.x().expect("affine"), p.y().expect("affine"));
+        LdPoint { x: lambda.mul(&x), y: lambda.square().mul(&y), z: *lambda }
+    }
+
+    /// The affine point `(X/Z, Y/Z²)` of `p`.
+    fn affine(p: &LdPoint) -> Point {
+        if p.is_infinity() {
+            return Point::Infinity;
+        }
+        let z_inv = p.z.inverse();
+        Point::affine(p.x.mul(&z_inv), p.y.mul(&z_inv.square()))
+    }
+
+    #[test]
+    fn mixed_addition_matches_affine_addition() {
+        let curve = Curve::sect571r1();
+        let g = curve.generator();
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..6 {
+            let mut random_point =
+                || curve.montgomery_ladder(&Scalar::random_with_bit_length(&mut rng, 64), &g).0;
+            let (p, q) = (random_point(), random_point());
+            let p_ld = scaled(&p, &random_element(&mut rng));
+            let sum = curve.add_mixed(&p_ld, &q);
+            assert_eq!(affine(&sum), curve.add(&p, &q));
+            assert!(sum.has_affine_x(&curve.add(&p, &q).x().expect("affine")));
+            assert!(!sum.has_affine_x(&p.x().expect("affine")));
+            // p = q takes the doubling branch; p = −q gives infinity.
+            assert_eq!(affine(&curve.add_mixed(&p_ld, &p)), curve.double(&p));
+            assert!(curve.add_mixed(&p_ld, &curve.negate(&p)).is_infinity());
+            // Either operand at infinity.
+            assert_eq!(affine(&curve.add_mixed(&LdPoint::INFINITY, &q)), q);
+            assert_eq!(affine(&curve.add_mixed(&p_ld, &Point::Infinity)), p);
+        }
+        assert!(!LdPoint::INFINITY.has_affine_x(&Gf571::ZERO));
+    }
+
+    #[test]
+    fn generator_doublings_are_powers_of_two_times_g() {
+        let curve = Curve::sect571r1();
+        let table = Curve::generator_doublings();
+        assert_eq!(table.len(), DEGREE);
+        assert_eq!(table[0], curve.generator());
+        for (i, pair) in table.windows(2).enumerate() {
+            assert_eq!(pair[1], curve.double(&pair[0]), "i = {}", i + 1);
+        }
+        for i in [1usize, 63, 569, 570] {
+            let mut limbs = [0u64; 9];
+            limbs[i / 64] = 1 << (i % 64);
+            let k = Scalar::new(crate::scalar::U576::from_limbs(limbs));
+            assert_eq!(table[i], curve.montgomery_ladder(&k, &curve.generator()).0, "i = {i}");
+        }
     }
 
     #[test]

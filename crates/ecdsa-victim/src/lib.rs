@@ -13,6 +13,9 @@
 //! * [`Gf571`] — arithmetic in GF(2^571) (sect571r1's binary field);
 //! * [`Curve`] / [`Point`] — the curve, affine group law, and the
 //!   López–Dahab Montgomery ladder with its per-iteration branch trace;
+//! * [`LdPoint`] — López–Dahab projective points, to which
+//!   [`Curve::add_mixed`] adds affine points without an inversion (Step 4's
+//!   candidate walk);
 //! * [`Scalar`] — integer arithmetic modulo the group order;
 //! * [`sha256`] — message hashing;
 //! * [`Ecdsa`] / [`KeyPair`] / [`Signature`] — signing and verification;
@@ -44,7 +47,7 @@ mod scalar;
 mod sha256;
 mod victim;
 
-pub use curve::{Curve, LadderStep, Point};
+pub use curve::{Curve, LadderStep, LdPoint, Point};
 pub use ecdsa::{hash_to_scalar, Ecdsa, KeyPair, Signature, SigningTranscript};
 pub use gf2m::{Gf571, DEGREE as FIELD_DEGREE, LIMBS as FIELD_LIMBS};
 pub use scalar::{group_order, Scalar, U576};

@@ -137,7 +137,7 @@ pub fn attempt_signature(
 ) -> (Option<RecoveredKey>, AttemptStats) {
     let mut stats =
         AttemptStats { observed_bits: observation.observed.len(), ..AttemptStats::default() };
-    let verifier = KeyVerifier::new(
+    let mut verifier = KeyVerifier::new(
         *public,
         observation.signature,
         observation.hashed_message,

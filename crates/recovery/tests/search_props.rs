@@ -9,7 +9,7 @@
 //! checks exactly that: failure is reported as failure, never as a wrong
 //! key.
 
-use llc_ecdsa_victim::{hash_to_scalar, Ecdsa, KeyPair, Scalar, SigningTranscript};
+use llc_ecdsa_victim::{hash_to_scalar, Ecdsa, KeyPair, Scalar, SigningTranscript, U576};
 use llc_recovery::{
     attempt_signature, BitEstimate, CampaignConfig, KeyVerifier, ObservedBit, SearchConfig,
     SignatureObservation,
@@ -20,7 +20,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// Nonce width of the property victims: small enough that a candidate check
-/// (one ladder over the nonce) stays affordable under the dev profile.
+/// stays affordable under the dev profile, where every walk is checked
+/// against a ladder over the nonce.
 const NONCE_BITS: usize = 24;
 const ITER: u64 = 10_000;
 
@@ -38,9 +39,79 @@ fn victim() -> &'static (Ecdsa, KeyPair, Scalar) {
 }
 
 fn sign_with_nonce_seed(seed: u64) -> SigningTranscript {
+    sign_with_nonce_width(seed, NONCE_BITS)
+}
+
+fn sign_with_nonce_width(seed: u64, bits: usize) -> SigningTranscript {
     let (ecdsa, key, z) = victim();
     let mut rng = SmallRng::seed_from_u64(seed);
-    ecdsa.sign_with_drawn_nonce(key, z, || Scalar::random_with_bit_length(&mut rng, NONCE_BITS))
+    ecdsa.sign_with_drawn_nonce(key, z, || Scalar::random_with_bit_length(&mut rng, bits))
+}
+
+/// The affine x coordinate of `k·G` as an integer below 2^571, by a ladder.
+fn ladder_x(k: &Scalar) -> Option<U576> {
+    let (ecdsa, _, _) = victim();
+    let (point, _) = ecdsa.curve().montgomery_ladder(k, &ecdsa.curve().generator());
+    point.x().map(|x| U576::from_limbs(*x.limbs()))
+}
+
+/// A verifier walked through a sequence of candidates gives each the verdict
+/// of a ladder over the candidate, `x(k·G) mod n = r`, and of a fresh
+/// verifier, and accepts exactly the true nonce. The sequences mix 48-bit,
+/// 64-bit and full-width scalars below n, repeats, 1, n − 1, the true nonce
+/// `k` and `n − k`, whose multiple has the same x, so it matches `r` and
+/// fails the `d·G` check. They run for signatures of 48- and 64-bit nonces
+/// with `x(k·G) < n`, where `r` is the matching target, and with
+/// `x(k·G) ≥ n`, where it is `r + n`; each holds for about half of all
+/// signatures. A wrong addition leaves the walk off `k·G` for good, so the
+/// true nonce's verdict after it shows the error.
+#[test]
+fn walked_verifier_gives_the_ladder_verdict_on_every_candidate() {
+    let (_, key, z) = victim();
+    let n_minus = |k: u64| Scalar::zero().sub(&Scalar::from_u64(k));
+    for bits in [48, 64] {
+        for x_at_least_n in [false, true] {
+            let t = (0..)
+                .map(|seed| sign_with_nonce_width(seed, bits))
+                .find(|t| (ladder_x(&t.nonce) != Some(*t.signature.r.value())) == x_at_least_n)
+                .expect("both kinds of signature are common");
+            let r = t.signature.r;
+            let mut rng = SmallRng::seed_from_u64(bits as u64 * 2 + x_at_least_n as u64);
+            // From n − 15 to 7 the partial sum reaches n − 8 just before the
+            // −8·G step (bit 3 of n is clear), so that addition doubles. The
+            // true nonce follows.
+            let mut candidates = vec![n_minus(15), Scalar::from_u64(7), t.nonce];
+            // Then every kind of candidate once, and one more, in random order.
+            let mut kinds: Vec<u32> = (0..8).chain([rng.gen_range(0..8)]).collect();
+            for i in 0..kinds.len() {
+                let j = rng.gen_range(i..kinds.len());
+                kinds.swap(i, j);
+            }
+            for kind in kinds {
+                let candidate = match kind {
+                    0 => t.nonce,
+                    1 => Scalar::zero().sub(&t.nonce),
+                    2 => candidates[candidates.len() - 1],
+                    3 => Scalar::one(),
+                    4 => n_minus(1),
+                    5 => Scalar::random(&mut rng),
+                    6 => Scalar::random_with_bit_length(&mut rng, 48),
+                    _ => Scalar::random_with_bit_length(&mut rng, 64),
+                };
+                candidates.push(candidate);
+            }
+            let mut walking = KeyVerifier::new(*key.public(), t.signature, *z);
+            for (step, candidate) in candidates.iter().enumerate() {
+                let expected_key = (*candidate == t.nonce).then_some(*key.private());
+                assert_eq!(walking.try_nonce(candidate), expected_key, "step {step}");
+                let verdict = walking.matches_r(candidate);
+                let ladder = ladder_x(candidate).is_some_and(|x| Scalar::new(x) == r);
+                assert_eq!(verdict, ladder, "step {step}");
+                let mut fresh = KeyVerifier::new(*key.public(), t.signature, *z);
+                assert_eq!(fresh.matches_r(candidate), verdict, "step {step}");
+            }
+        }
+    }
 }
 
 /// Builds per-position estimates from the true ladder bits with `erasures`
@@ -89,7 +160,7 @@ proptest! {
         let (_, key, z) = victim();
         let t = sign_with_nonce_seed(nonce_seed);
         let estimates = corrupt(&t.ladder_bits, erasures, errors, pattern_seed);
-        let verifier = KeyVerifier::new(*key.public(), t.signature, *z);
+        let mut verifier = KeyVerifier::new(*key.public(), t.signature, *z);
         let config = SearchConfig { max_candidates: 400, max_flips: 2 };
         let out = llc_recovery::correct_and_recover(&estimates, &config, |k| verifier.try_nonce(k));
         prop_assert_eq!(out.nonce.as_ref(), Some(&t.nonce));
@@ -108,7 +179,7 @@ proptest! {
         let t = sign_with_nonce_seed(nonce_seed);
         // 4 errors, budget of 1 flip: unrecoverable by construction.
         let estimates = corrupt(&t.ladder_bits, 0, 4, pattern_seed);
-        let verifier = KeyVerifier::new(*key.public(), t.signature, *z);
+        let mut verifier = KeyVerifier::new(*key.public(), t.signature, *z);
         let config = SearchConfig { max_candidates: 120, max_flips: 1 };
         let out = llc_recovery::correct_and_recover(&estimates, &config, |k| verifier.try_nonce(k));
         prop_assert_eq!(out.key, None);
@@ -127,7 +198,7 @@ proptest! {
         let t = sign_with_nonce_seed(nonce_seed);
         let erasures = t.ladder_bits.len(); // everything erased: 2^23 fills
         let estimates = corrupt(&t.ladder_bits, erasures, 0, pattern_seed);
-        let verifier = KeyVerifier::new(*key.public(), t.signature, *z);
+        let mut verifier = KeyVerifier::new(*key.public(), t.signature, *z);
         let config = SearchConfig { max_candidates: 64, max_flips: 0 };
         let out = llc_recovery::correct_and_recover(&estimates, &config, |k| verifier.try_nonce(k));
         prop_assert!(out.candidates_examined <= 64);
