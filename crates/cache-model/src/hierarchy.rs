@@ -1086,15 +1086,16 @@ impl Hierarchy {
     /// Applies a whole burst of background-tenant accesses to one LLC/SF set.
     ///
     /// `shared` yields one flag per event, in event order, with the same
-    /// meaning as [`Hierarchy::noise_access`]. The burst is applied through
-    /// set views borrowed **once** for the whole call instead of re-routing
-    /// `(slice, set)` → arena row per event, which is what the machine's
-    /// noise catch-up previously paid on every touched set of every
-    /// traversal. Back-invalidations of evicted lines are queued into a
-    /// reusable buffer and applied after the burst; within a burst nothing
-    /// reads the private caches and synthetic noise lines never repeat, so
-    /// the resulting state (and every replacement-metadata word) is
-    /// bit-identical to per-event dispatch.
+    /// meaning as [`Hierarchy::noise_access`] under every inclusion policy
+    /// (an inclusive hierarchy sends every event to its LLC). The burst is
+    /// applied through set views borrowed **once** for the whole call
+    /// instead of re-routing `(slice, set)` → arena row per event, which is
+    /// what the machine's noise catch-up previously paid on every touched
+    /// set of every traversal. Back-invalidations of evicted lines are
+    /// queued into a reusable buffer and applied after the burst; within a
+    /// burst nothing reads the private caches and synthetic noise lines
+    /// never repeat, so the resulting state (and every replacement-metadata
+    /// word) is bit-identical to per-event dispatch.
     pub fn noise_access_bulk<I>(&mut self, loc: SetLocation, shared: I)
     where
         I: IntoIterator<Item = bool>,
@@ -1104,15 +1105,7 @@ impl Hierarchy {
         // view setup entirely.
         let Some(first) = events.next() else { return };
         self.writes += 1;
-        // Per-event dispatch for the non-default inclusion policies: their
-        // noise paths are not hot in any golden workload.
-        if self.inclusion() != InclusionPolicy::NonInclusive {
-            self.noise_access(loc, first);
-            for s in events {
-                self.noise_access(loc, s);
-            }
-            return;
-        }
+        let inclusive = self.inclusion() == InclusionPolicy::Inclusive;
 
         let mut pending = std::mem::take(&mut self.noise_evictions);
         pending.clear();
@@ -1130,7 +1123,7 @@ impl Hierarchy {
                 // or owner bits — the per-event path's invalidations for
                 // them are guaranteed no-ops, so skipping them is
                 // state-identical and saves the per-core tag scans.
-                if is_shared {
+                if is_shared || inclusive {
                     if let Some(evicted) = llc_view.insert(synthetic, LlcLine::default()) {
                         if evicted.payload.sharers != 0 {
                             pending.push((evicted.line, evicted.payload.sharers));
@@ -1681,32 +1674,43 @@ mod tests {
         }
     }
 
-    /// The bulk noise path must be state-identical to per-event dispatch:
-    /// same tags, same replacement metadata words, same back-invalidations.
+    /// The bulk noise path must be state-identical to per-event dispatch
+    /// under every inclusion policy: same tags, same replacement metadata
+    /// words, same back-invalidations.
     #[test]
     fn bulk_noise_access_matches_per_event_dispatch() {
-        let mut a = hierarchy();
-        let mut b = hierarchy();
-        let target = line(0x4242);
-        // Seed a private line (SF-tracked) and a shared line (LLC-resident)
-        // in the same set so evictions have real victims to back-invalidate.
-        let shared_victim = congruent_lines(&a, target, 1)[0];
-        for h in [&mut a, &mut b] {
-            h.access(0, target, AccessKind::Read);
-            h.access(0, shared_victim, AccessKind::Read);
-            h.access(1, shared_victim, AccessKind::Read);
+        for policy in
+            [InclusionPolicy::NonInclusive, InclusionPolicy::Inclusive, InclusionPolicy::Exclusive]
+        {
+            let spec = CacheSpec::tiny_test().with_inclusion(policy);
+            let mut a = Hierarchy::new(spec.clone(), 1);
+            let mut b = Hierarchy::new(spec, 1);
+            let target = line(0x4242);
+            // Seed a private line and a line two cores share in the same
+            // set, so evictions have real victims to back-invalidate.
+            let shared_victim = congruent_lines(&a, target, 1)[0];
+            for h in [&mut a, &mut b] {
+                h.access(0, target, AccessKind::Read);
+                h.access(0, shared_victim, AccessKind::Read);
+                h.access(1, shared_victim, AccessKind::Read);
+            }
+            let seeded = [(0, target), (0, shared_victim), (1, shared_victim)];
+            assert!(seeded.iter().all(|&(c, l)| b.in_l1(c, l) && b.in_l2(c, l)), "{policy:?}");
+            let loc = a.shared_location(target);
+            // A mixed burst long enough to overflow both structures.
+            let burst: Vec<bool> = (0..3 * a.spec().sf.ways()).map(|i| i % 2 == 0).collect();
+            for &s in &burst {
+                a.noise_access(loc, s);
+            }
+            b.noise_access_bulk(loc, burst.iter().copied());
+            assert_same_state(&a, &b, loc, &[target, shared_victim]);
+            // The burst must actually have evicted the seeded lines and
+            // back-invalidated their private copies, otherwise the
+            // back-invalidation queue was never exercised.
+            assert!(!b.in_sf(target) && !b.in_llc(target), "{policy:?}");
+            assert!(!b.in_sf(shared_victim) && !b.in_llc(shared_victim), "{policy:?}");
+            assert!(seeded.iter().all(|&(c, l)| !b.in_l1(c, l) && !b.in_l2(c, l)), "{policy:?}");
         }
-        let loc = a.shared_location(target);
-        // A mixed burst long enough to overflow both structures.
-        let burst: Vec<bool> = (0..3 * a.spec().sf.ways()).map(|i| i % 2 == 0).collect();
-        for &s in &burst {
-            a.noise_access(loc, s);
-        }
-        b.noise_access_bulk(loc, burst.iter().copied());
-        assert_same_state(&a, &b, loc, &[target, shared_victim]);
-        // The burst must actually have evicted the seeded lines, otherwise
-        // the back-invalidation queue was never exercised.
-        assert!(!b.in_sf(target) && !b.in_llc(shared_victim));
     }
 
     /// Below saturation, `noise_advance_bulk(kl, ks)` must be

@@ -16,8 +16,8 @@
 //! ```
 //! use llc_cache_model::{AccessKind, CacheSpec, Hierarchy, LineAddr};
 //!
-//! // `tiny_test()` keeps the doctest feature-independent; the protocol below
-//! // is identical on the feature-gated `skylake_sp_cloud()` preset.
+//! // `tiny_test()` keeps the doctest small; the protocol below is identical
+//! // on the `skylake_sp_cloud()` preset.
 //! let mut h = Hierarchy::new(CacheSpec::tiny_test(), 42);
 //! let line = LineAddr::from_line_number(0x1234);
 //!

@@ -6,12 +6,10 @@
 //! | `CacheSpec::skylake_sp_local` | Intel Xeon Gold 6152 (local) | 22 | 12 | 16 |
 //! | `CacheSpec::ice_lake_sp` | Intel Xeon Gold 5320 | 26 | 16 | 20 |
 //!
-//! The named presets (and `CacheSpec::skylake_sp(slices, cores)`,
-//! `CacheSpec::ice_lake_sp_with(slices, cores)`) are gated by the `skylake`
-//! / `icelake` cargo features, both on by default; `CacheSpec::tiny_test`
-//! and the geometry types stay available regardless. The table uses plain
-//! code spans rather than intra-doc links so `--no-default-features` docs
-//! stay warning-free.
+//! `CacheSpec::skylake_sp(slices, cores)` and
+//! `CacheSpec::ice_lake_sp_with(slices, cores)` build the same machines at
+//! other scales, and `CacheSpec::tiny_test` is a small hierarchy for unit
+//! tests.
 //!
 //! Every preset takes the default [`HierarchyConfig`]: the paper's
 //! non-inclusive protocol, the XOR-fold slice hash and true LRU at every
@@ -51,7 +49,6 @@ impl CacheSpec {
     ///
     /// Parameters follow Table 2: L1 32 kB/8-way, L2 1 MB/16-way/1,024 sets,
     /// LLC slice 1.375 MB/11-way/2,048 sets, SF slice 12-way/2,048 sets.
-    #[cfg(feature = "skylake")]
     pub fn skylake_sp(num_slices: usize, cores: usize) -> Self {
         let llc_slice = CacheGeometry::new(2048, 11);
         let sf_slice = CacheGeometry::new(2048, 12);
@@ -69,14 +66,12 @@ impl CacheSpec {
 
     /// The 28-slice Skylake-SP (Xeon Platinum 8173M) that dominates Cloud Run
     /// datacenters in the paper's measurements.
-    #[cfg(feature = "skylake")]
     pub fn skylake_sp_cloud() -> Self {
         Self::skylake_sp(28, 4)
     }
 
     /// The 22-slice Skylake-SP (Xeon Gold 6152) used as the quiescent local
     /// machine in the paper.
-    #[cfg(feature = "skylake")]
     pub fn skylake_sp_local() -> Self {
         Self::skylake_sp(22, 4)
     }
@@ -85,7 +80,6 @@ impl CacheSpec {
     ///
     /// Parameters follow Table 2: L1 48 kB/12-way, L2 1.25 MB/20-way/1,024
     /// sets, LLC slice 1.5 MB/12-way/2,048 sets, SF slice 16-way/2,048 sets.
-    #[cfg(feature = "icelake")]
     pub fn ice_lake_sp_with(num_slices: usize, cores: usize) -> Self {
         let llc_slice = CacheGeometry::new(2048, 12);
         let sf_slice = CacheGeometry::new(2048, 16);
@@ -103,7 +97,6 @@ impl CacheSpec {
 
     /// Ice Lake-SP (Xeon Gold 5320, 26 slices): 16-way SF and 20-way L2,
     /// used in Section 5.3.2 to study associativity sensitivity.
-    #[cfg(feature = "icelake")]
     pub fn ice_lake_sp() -> Self {
         Self::ice_lake_sp_with(26, 4)
     }
@@ -144,13 +137,11 @@ impl CacheSpec {
     }
 }
 
-// Every test here exercises a feature-gated preset.
-#[cfg(all(test, any(feature = "skylake", feature = "icelake")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "skylake")]
     fn skylake_cloud_matches_paper_counts() {
         let spec = CacheSpec::skylake_sp_cloud();
         assert_eq!(spec.page_offset_sets(), 896);
@@ -161,7 +152,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "skylake")]
     fn skylake_local_matches_paper_counts() {
         let spec = CacheSpec::skylake_sp_local();
         assert_eq!(spec.page_offset_sets(), 704);
@@ -169,7 +159,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "icelake")]
     fn ice_lake_matches_paper_counts() {
         let spec = CacheSpec::ice_lake_sp();
         assert_eq!(spec.cores, 4);
@@ -184,7 +173,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "icelake")]
     fn ice_lake_parameterised_constructor_scales() {
         let spec = CacheSpec::ice_lake_sp_with(13, 8);
         assert_eq!(spec.cores, 8);
@@ -200,7 +188,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(feature = "skylake", feature = "icelake"))]
     fn ice_lake_has_higher_associativity() {
         let skx = CacheSpec::skylake_sp_cloud();
         let icx = CacheSpec::ice_lake_sp();
@@ -209,7 +196,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "skylake")]
     fn cycle_second_round_trip() {
         let spec = CacheSpec::skylake_sp_cloud();
         let cycles = 2_000_000_000;
@@ -219,7 +205,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "skylake")]
     fn llc_slice_capacity_is_1_375_mb() {
         let spec = CacheSpec::skylake_sp_cloud();
         assert_eq!(spec.llc.slice_geometry().size_bytes(), 1_441_792);

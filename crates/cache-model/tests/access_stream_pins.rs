@@ -139,7 +139,6 @@ fn tiny_test_access_streams_are_pinned() {
     check(CacheSpec::tiny_test(), pool, &TINY_TEST);
 }
 
-#[cfg(feature = "skylake")]
 #[test]
 fn skylake_access_streams_are_pinned() {
     // 1,536 lines at one page offset: one L1 set, 16 L2 sets and 64 LLC/SF
@@ -168,7 +167,6 @@ const TINY_TEST: [u64; 15] = [
 ];
 
 /// `CacheSpec::skylake_sp(2, 4)` digests, in [`check`]'s order.
-#[cfg(feature = "skylake")]
 const SKYLAKE_SP_2_4: [u64; 15] = [
     0xb87aad8205e94d33, // non-inclusive / lru
     0x577abc00908b52b0, // non-inclusive / tree-plru

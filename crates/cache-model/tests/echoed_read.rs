@@ -139,7 +139,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "skylake")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -250,7 +250,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "skylake")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -48,11 +48,6 @@ impl CellGrid {
         self.offsets[cell + 1] - self.offsets[cell]
     }
 
-    /// Global index of cell `cell`'s first trial.
-    pub fn cell_start(&self, cell: usize) -> u64 {
-        self.offsets[cell]
-    }
-
     /// Maps a global trial index to `(cell, trial_within_cell)`.
     ///
     /// # Panics

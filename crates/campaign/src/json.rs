@@ -1,5 +1,5 @@
 //! The workspace's one JSON reader/writer: campaign records, and the
-//! criterion shim's JSONL that `llc-bench`'s `bench_json` folds.
+//! repository benchmark's trace spans (`perfbench/` includes this file).
 //!
 //! The workspace has no serde dependency, and campaign merge records nest
 //! (a chunk record carries an array of per-cell segments), so this module
@@ -411,7 +411,7 @@ mod tests {
         assert!(text.ends_with(r#"e\u000d"}"#), "{text}");
         let v = Json::parse(&text).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\te\r"));
-        // `\uXXXX`, as the criterion shim writes control characters.
+        // `\uXXXX` for any character, as other JSON writers may emit it.
         let v = Json::parse(r#"{"s":"x\u000ay\u00e9"}"#).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x\nyé"));
         assert!(Json::parse(r#"{"s":"\u00g0"}"#).is_err());

@@ -121,11 +121,6 @@ impl TraceClassifier {
         }
     }
 
-    /// The feature configuration used by this classifier.
-    pub fn feature_config(&self) -> &FeatureConfig {
-        &self.features
-    }
-
     /// Applies the access-count pre-filter (Section 7.2).
     pub fn passes_prefilter(&self, trace: &AccessTrace) -> bool {
         (self.min_accesses..=self.max_accesses).contains(&trace.len())

@@ -151,7 +151,6 @@ fn report(id: &str, elapsed: &[Duration]) {
         fmt_duration(median),
         elapsed.len(),
     );
-    emit_json_line(id, elapsed, min, mean, median, max);
 }
 
 /// Median per-iteration duration (lower-middle sample for even counts, so
@@ -160,59 +159,6 @@ fn median_duration(elapsed: &[Duration]) -> Duration {
     let mut sorted: Vec<Duration> = elapsed.to_vec();
     sorted.sort_unstable();
     sorted[(sorted.len() - 1) / 2]
-}
-
-/// When the `LLC_BENCH_JSON` environment variable names a file, every
-/// benchmark appends one JSON object per line (JSONL) with its per-iteration
-/// statistics in nanoseconds. Bench targets run as separate processes, so
-/// append-mode JSONL is the only format they can all share; the
-/// `bench_json` binary in `llc-bench` folds the lines into a single
-/// `BENCH.json` document for CI artifacts.
-fn emit_json_line(
-    id: &str,
-    elapsed: &[Duration],
-    min: Duration,
-    mean: Duration,
-    median: Duration,
-    max: Duration,
-) {
-    let Ok(path) = std::env::var("LLC_BENCH_JSON") else { return };
-    if path.is_empty() {
-        return;
-    }
-    use std::io::Write;
-    let line = format!(
-        "{{\"id\":\"{}\",\"samples\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{}}}\n",
-        json_escape(id),
-        elapsed.len(),
-        median.as_nanos(),
-        min.as_nanos(),
-        max.as_nanos(),
-        mean.as_nanos(),
-    );
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = result {
-        eprintln!("warning: could not append to LLC_BENCH_JSON={path}: {e}");
-    }
-}
-
-/// Minimal JSON string escaping for benchmark ids (quotes, backslashes and
-/// control characters; ids are ASCII in practice).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -399,31 +345,6 @@ mod tests {
         assert_eq!(median_duration(&[ms(9), ms(1), ms(5)]), ms(5));
         // Even count: lower-middle sample, not an interpolated value.
         assert_eq!(median_duration(&[ms(4), ms(1), ms(9), ms(2)]), ms(2));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain/id"), "plain/id");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
-    fn jsonl_lines_are_appended_when_env_is_set() {
-        let path = std::env::temp_dir().join(format!("bench_jsonl_test_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("LLC_BENCH_JSON", &path);
-        report("g/json_emit/1", &[Duration::from_micros(10), Duration::from_micros(30)]);
-        report("g/json_emit/2", &[Duration::from_micros(20)]);
-        std::env::remove_var("LLC_BENCH_JSON");
-        let content = std::fs::read_to_string(&path).expect("JSONL file written");
-        let lines: Vec<&str> = content.lines().filter(|l| l.contains("json_emit")).collect();
-        assert_eq!(lines.len(), 2, "one JSONL line per reported bench: {content}");
-        assert!(lines[0].contains("\"id\":\"g/json_emit/1\""));
-        assert!(lines[0].contains("\"median_ns\":10000"));
-        assert!(lines[0].contains("\"min_ns\":10000") && lines[0].contains("\"max_ns\":30000"));
-        assert!(lines[1].contains("\"median_ns\":20000"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl PrimeScope {
     pub fn optimized() -> Self {
         Self { recharge_front: true, recharge_batch: 64 }
     }
-
-    /// Whether this instance recharges the list front.
-    pub fn recharges_front(&self) -> bool {
-        self.recharge_front
-    }
 }
 
 impl PruningAlgorithm for PrimeScope {

@@ -76,16 +76,6 @@ impl<'a> EvsetBuilder<'a> {
         self
     }
 
-    /// The active configuration.
-    pub fn config_ref(&self) -> &EvsetConfig {
-        &self.config
-    }
-
-    /// The pruning algorithm's name.
-    pub fn algorithm_name(&self) -> &'static str {
-        self.algorithm.name()
-    }
-
     /// Constructs one eviction set for the cache set that `ta` maps to, using
     /// `candidates` (all at `ta`'s page offset).
     pub fn build_for_target(
@@ -195,7 +185,7 @@ impl<'a> EvsetBuilder<'a> {
 /// `llc_set` holds exactly `llc_ways` lines, a candidate is vetted in the
 /// LLC instead: swapped in for one member of `llc_set`, it keeps the set
 /// evicting `ta` only if it is congruent.
-pub fn extend_to_sf(
+fn extend_to_sf(
     machine: &mut Machine,
     ta: VirtAddr,
     llc_set: &EvictionSet,

@@ -4,7 +4,7 @@
 //! page offsets.
 
 use crate::algorithms::PruningAlgorithm;
-use crate::builder::extend_to_sf;
+use crate::builder::EvsetBuilder;
 use crate::candidates::CandidateSet;
 use crate::config::{EvsetConfig, TargetCache};
 use crate::error::EvsetError;
@@ -82,8 +82,6 @@ pub struct BulkOutcome {
     pub total_cycles: u64,
     /// Cycles spent on candidate filtering.
     pub filter_cycles: u64,
-    /// Cycles of each per-set construction (successful or not).
-    pub per_set_cycles: Vec<u64>,
 }
 
 impl BulkOutcome {
@@ -93,15 +91,6 @@ impl BulkOutcome {
             0.0
         } else {
             self.successes as f64 / self.attempted as f64
-        }
-    }
-
-    /// Mean per-set construction time in cycles.
-    pub fn mean_set_cycles(&self) -> f64 {
-        if self.per_set_cycles.is_empty() {
-            0.0
-        } else {
-            self.per_set_cycles.iter().sum::<u64>() as f64 / self.per_set_cycles.len() as f64
         }
     }
 }
@@ -149,7 +138,6 @@ impl<'a> BulkBuilder<'a> {
             successes: 0,
             total_cycles: 0,
             filter_cycles: 0,
-            per_set_cycles: Vec::new(),
         };
 
         let budget = self.config.max_sets.unwrap_or(scope.required_sets(&spec));
@@ -216,6 +204,12 @@ impl<'a> BulkBuilder<'a> {
             None => vec![candidates.addresses().to_vec()],
         };
 
+        // `run` filters the candidates once for every set, so the per-set
+        // builder does not filter again.
+        let builder = EvsetBuilder::new(self.algorithm)
+            .config(self.config.evset.clone())
+            .target(TargetCache::Sf)
+            .filtering(false);
         let mut built_this_offset = 0usize;
         for group in groups {
             if built_this_offset >= budget {
@@ -241,54 +235,12 @@ impl<'a> BulkBuilder<'a> {
 
                 outcome.attempted += 1;
                 built_this_offset += 1;
-                let set_start = machine.now();
-                let deadline = set_start + self.config.evset.time_budget_cycles;
-                let result = self.build_one(machine, ta, &pool, deadline);
-                outcome.per_set_cycles.push(machine.now() - set_start);
-                match result {
-                    Ok(set) => {
-                        pool.retain(|a| !set.contains(*a));
-                        built_sets.push(set.clone());
-                        outcome.successes += 1;
-                        outcome.eviction_sets.push((ta, set));
-                    }
-                    Err(_) => {
-                        // Per-set failure: move on to the next target address.
-                    }
-                }
-            }
-        }
-    }
-
-    fn build_one(
-        &self,
-        machine: &mut Machine,
-        ta: VirtAddr,
-        pool: &[VirtAddr],
-        deadline: u64,
-    ) -> Result<EvictionSet, EvsetError> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let llc = self.algorithm.prune(
-                machine,
-                ta,
-                pool,
-                TargetCache::Llc,
-                &self.config.evset,
-                deadline,
-            );
-            let result = llc.and_then(|out| {
-                let mut tests = out.test_evictions;
-                extend_to_sf(machine, ta, &out.eviction_set, pool, deadline, &mut tests)
-            });
-            match result {
-                Ok(set) => return Ok(set),
-                Err(e) => {
-                    let fatal = matches!(e, EvsetError::Timeout { .. });
-                    if fatal || attempts >= self.config.evset.max_attempts {
-                        return Err(e);
-                    }
+                // A failed set moves on to the next target address.
+                if let Some(set) = builder.build_for_target(machine, ta, &pool).eviction_set {
+                    pool.retain(|a| !set.contains(*a));
+                    built_sets.push(set.clone());
+                    outcome.successes += 1;
+                    outcome.eviction_sets.push((ta, set));
                 }
             }
         }

@@ -48,7 +48,7 @@ mod filter;
 mod test_eviction;
 
 pub use algorithms::{BinarySearch, GroupTesting, PrimeScope, PruneOutcome, PruningAlgorithm};
-pub use builder::{extend_to_sf, ConstructionResult, EvsetBuilder};
+pub use builder::{ConstructionResult, EvsetBuilder};
 pub use bulk::{BulkBuilder, BulkConfig, BulkOutcome, Scope};
 pub use candidates::CandidateSet;
 pub use config::{EvsetConfig, TargetCache};
@@ -59,6 +59,6 @@ pub use filter::{
     FilteredCandidates,
 };
 pub use test_eviction::{
-    eviction_threshold, load_target, oracle, parallel_test_eviction, sequential_test_eviction,
-    test_eviction, test_eviction_plan, TraversalOrder,
+    eviction_threshold, load_target, oracle, parallel_test_eviction, test_eviction,
+    test_eviction_plan, TraversalOrder,
 };

@@ -79,6 +79,40 @@ pub fn test_eviction(
     target: TargetCache,
     order: TraversalOrder,
 ) -> (bool, u64) {
+    run_test(machine, ta, candidates, target, |m| match order {
+        TraversalOrder::Parallel => m.parallel_traverse(candidates),
+        TraversalOrder::Sequential => m.sequential_traverse(candidates),
+    })
+}
+
+/// [`test_eviction`] over a compiled [`TraversalPlan`] (the candidates are
+/// `plan.addresses()`). Pruning loops compile each candidate subset into a
+/// reused plan and test through this entry point, so the per-test
+/// translation/sort overhead is paid once per subset instead of once per
+/// traversal pass — and the simulated behaviour is bit-identical to the
+/// slice-based path.
+pub fn test_eviction_plan(
+    machine: &mut Machine,
+    ta: VirtAddr,
+    plan: &TraversalPlan,
+    target: TargetCache,
+    order: TraversalOrder,
+) -> (bool, u64) {
+    run_test(machine, ta, plan.addresses(), target, |m| match order {
+        TraversalOrder::Parallel => m.parallel_traverse_plan(plan),
+        TraversalOrder::Sequential => m.sequential_traverse_plan(plan),
+    })
+}
+
+/// The body of both entry points; `traverse` runs one pass over
+/// `candidates`.
+fn run_test(
+    machine: &mut Machine,
+    ta: VirtAddr,
+    candidates: &[VirtAddr],
+    target: TargetCache,
+    mut traverse: impl FnMut(&mut Machine) -> u64,
+) -> (bool, u64) {
     let start = machine.now();
     let prev = machine.helper_echo();
     if target == TargetCache::Sf {
@@ -99,54 +133,7 @@ pub fn test_eviction(
     // real eviction-set code does to defeat non-LRU policies.
     let passes = if target == TargetCache::L2 { 2 } else { 1 };
     for _ in 0..passes {
-        match order {
-            TraversalOrder::Parallel => {
-                machine.parallel_traverse(candidates);
-            }
-            TraversalOrder::Sequential => {
-                machine.sequential_traverse(candidates);
-            }
-        }
-    }
-    let (latency, _level) = machine.timed_access(ta);
-    machine.set_helper_echo(prev);
-    let evicted = latency >= eviction_threshold(machine, target);
-    (evicted, machine.now() - start)
-}
-
-/// [`test_eviction`] over a compiled [`TraversalPlan`] (the candidates are
-/// `plan.addresses()`). Pruning loops compile each candidate subset into a
-/// reused plan and test through this entry point, so the per-test
-/// translation/sort overhead is paid once per subset instead of once per
-/// traversal pass — and the simulated behaviour is bit-identical to the
-/// slice-based path.
-pub fn test_eviction_plan(
-    machine: &mut Machine,
-    ta: VirtAddr,
-    plan: &TraversalPlan,
-    target: TargetCache,
-    order: TraversalOrder,
-) -> (bool, u64) {
-    let start = machine.now();
-    let prev = machine.helper_echo();
-    if target == TargetCache::Sf {
-        // See `test_eviction`: SF tests reset Shared candidate lines first.
-        for &c in plan.addresses() {
-            machine.clflush(c);
-        }
-    }
-    load_target(machine, ta, target);
-    machine.set_helper_echo(target == TargetCache::Llc);
-    let passes = if target == TargetCache::L2 { 2 } else { 1 };
-    for _ in 0..passes {
-        match order {
-            TraversalOrder::Parallel => {
-                machine.parallel_traverse_plan(plan);
-            }
-            TraversalOrder::Sequential => {
-                machine.sequential_traverse_plan(plan);
-            }
-        }
+        traverse(machine);
     }
     let (latency, _level) = machine.timed_access(ta);
     machine.set_helper_echo(prev);
@@ -162,16 +149,6 @@ pub fn parallel_test_eviction(
     target: TargetCache,
 ) -> bool {
     test_eviction(machine, ta, candidates, target, TraversalOrder::Parallel).0
-}
-
-/// Convenience wrapper for the sequential variant, returning only the verdict.
-pub fn sequential_test_eviction(
-    machine: &mut Machine,
-    ta: VirtAddr,
-    candidates: &[VirtAddr],
-    target: TargetCache,
-) -> bool {
-    test_eviction(machine, ta, candidates, target, TraversalOrder::Sequential).0
 }
 
 /// Ground-truth helpers used to *validate* constructed eviction sets in tests

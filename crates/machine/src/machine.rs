@@ -380,11 +380,6 @@ impl Machine {
         &self.latency
     }
 
-    /// The background-noise model in force.
-    pub fn noise_model(&self) -> &NoiseModel {
-        self.host.noise.model()
-    }
-
     /// The noise fidelity in force (see [`NoiseFidelity`]).
     pub fn noise_fidelity(&self) -> NoiseFidelity {
         self.host.noise.fidelity()
